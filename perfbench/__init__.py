@@ -1,0 +1,5 @@
+"""The Gaia benchmark: open-loop serving, crash-to-serve and retraining.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
