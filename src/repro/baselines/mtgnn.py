@@ -121,8 +121,10 @@ class _DilatedInception(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer output (see class docstring)."""
-        filters = F.concat([conv(x) for conv in self.filter_convs], axis=-1)
-        gates = F.concat([conv(x) for conv in self.gate_convs], axis=-1)
+        filters = F.conv_bank(x, [conv.weight for conv in self.filter_convs],
+                              [conv.bias for conv in self.filter_convs])
+        gates = F.conv_bank(x, [conv.weight for conv in self.gate_convs],
+                            [conv.bias for conv in self.gate_convs])
         return F.tanh(filters) * F.sigmoid(gates)
 
 

@@ -82,9 +82,11 @@ class ITAGCNLayer(Module):
 
         # alpha_{u,v}: scalar gate per edge, softmax over u's in-edges.
         # Both 1x1 gate convolutions read the same h: fused bank.
-        s_term, d_term = F.conv_bank(
+        gate_terms = F.conv_bank(
             h, [self.conv_s.weight, self.conv_d.weight]
-        )                                           # 2x (S, T, 1)
+        )                                           # (S, T, 2)
+        s_term = gate_terms[:, :, 0:1]
+        d_term = gate_terms[:, :, 1:2]
         combined = F.gather_rows(s_term, dst) + F.gather_rows(d_term, src)
         gate = F.tanh(combined).reshape(src.size, -1) @ self.mu   # (E,)
         alpha = F.segment_softmax(gate, dst, num_nodes)

@@ -51,8 +51,11 @@ class TemporalEmbeddingLayer(Module):
 
     def forward(self, fused: Tensor) -> Tensor:
         """Compute the layer output (see class docstring)."""
-        captured = F.concat([conv(fused) for conv in self.capture], axis=-1)  # Eq. 5
-        denoised = F.concat([conv(fused) for conv in self.denoise], axis=-1)  # Eq. 6
+        # Each group is one fused bank: the channel-concat of its convs.
+        captured = F.conv_bank(fused, [c.weight for c in self.capture],
+                               [c.bias for c in self.capture])       # Eq. 5
+        denoised = F.conv_bank(fused, [c.weight for c in self.denoise],
+                               [c.bias for c in self.denoise])       # Eq. 6
         embedding = F.relu(captured) * F.sigmoid(denoised)                    # Eq. 7
         if self.dropout is not None:
             embedding = self.dropout(embedding)

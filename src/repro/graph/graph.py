@@ -57,6 +57,10 @@ class ESellerGraph:
     node_ids:
         Optional external shop identifiers, one per node.  When omitted,
         nodes are identified by their index.
+    check_range:
+        Verify every endpoint lies in ``[0, num_nodes)``.  Extractors
+        that build endpoints by construction (every subgraph of a
+        batch) skip the two array reductions it costs.
 
     Notes
     -----
@@ -73,6 +77,7 @@ class ESellerGraph:
         dst: Sequence[int],
         edge_types: Optional[Sequence[int]] = None,
         node_ids: Optional[Sequence[str]] = None,
+        check_range: bool = True,
     ) -> None:
         if num_nodes < 0:
             raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
@@ -81,7 +86,7 @@ class ESellerGraph:
         self.dst = np.asarray(dst, dtype=np.int64)
         if self.src.shape != self.dst.shape or self.src.ndim != 1:
             raise ValueError("src and dst must be 1-D arrays of equal length")
-        if self.src.size:
+        if check_range and self.src.size:
             lo = min(self.src.min(), self.dst.min())
             hi = max(self.src.max(), self.dst.max())
             if lo < 0 or hi >= self.num_nodes:
@@ -98,6 +103,7 @@ class ESellerGraph:
         self.node_ids: Optional[List[str]] = list(node_ids) if node_ids is not None else None
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._csr_in: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._incidence: Optional[Tuple[np.ndarray, ...]] = None
 
     @classmethod
     def from_edit_history(
@@ -166,6 +172,7 @@ class ESellerGraph:
         """
         self._csr = None
         self._csr_in = None
+        self._incidence = None
 
     def adopt_csr(
         self,
@@ -205,6 +212,7 @@ class ESellerGraph:
                 self._csr = packed
             else:
                 self._csr_in = packed
+            self._incidence = None
 
     def _build_csr(self, by_src: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = self.src if by_src else self.dst
@@ -233,6 +241,34 @@ class ESellerGraph:
             self._csr_in = self._build_csr(by_src=False)
         indptr, order, _ = self._csr_in
         return indptr, order
+
+    def incidence(self) -> Tuple[np.ndarray, ...]:
+        """Undirected incidence index: ``(starts, out_ends, ends, edges,
+        others)``.
+
+        Node ``v``'s incident edges are ``edges[starts[v]:ends[v]]``, its
+        out-edges first (up to ``out_ends[v]``) then its in-edges, each
+        in CSR order; ``others`` holds each entry's other endpoint.  The
+        three offset arrays have ``num_nodes + 1`` entries, the last an
+        empty slot.  Built once from the two CSR views in O(E) and
+        reused, so a frontier expansion gathers both directions at once.
+        """
+        if self._incidence is None:
+            out_ptr, out_order = self.out_csr()
+            in_ptr, in_order = self.in_csr()
+            total = 2 * self.num_edges
+            starts = out_ptr + in_ptr
+            out_ends = np.append(out_ptr[1:] + in_ptr[:-1], total)
+            ends = np.append(starts[1:], total)
+            rank = np.arange(self.num_edges, dtype=np.int64)
+            out_at = rank + in_ptr[self.src[out_order]]
+            in_at = rank + out_ptr[self.dst[in_order] + 1]
+            edges = np.empty(total, dtype=np.int64)
+            others = np.empty(total, dtype=np.int64)
+            edges[out_at], others[out_at] = out_order, self.dst[out_order]
+            edges[in_at], others[in_at] = in_order, self.src[in_order]
+            self._incidence = (starts, out_ends, ends, edges, others)
+        return self._incidence
 
     def out_edges(self, node: int) -> np.ndarray:
         """Edge indices whose source is ``node``."""

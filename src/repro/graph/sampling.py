@@ -1,22 +1,25 @@
 """Ego-subgraph extraction and neighbor sampling.
 
 The deployed Gaia system (paper §VI) predicts a newcoming e-seller from
-the *ego-subgraph* extracted around it.  :func:`ego_subgraph` implements
-that extraction; :func:`ego_subgraphs` amortises it over many seeds for
-the serving gateway's micro-batches; :func:`sample_neighbors` provides
-GraphSAGE-style fanout capping for minibatch training on larger graphs.
+the *ego-subgraph* extracted around it.  :func:`extract_egos` is the one
+extractor: it serves every center of a serving micro-batch in a single
+vectorised pass, over a static graph (:func:`ego_subgraphs`,
+:func:`ego_subgraph`) or a live one (base + tombstones + overlay, used
+by :class:`~repro.streaming.dynamic_graph.DynamicGraph`).
+:func:`sample_neighbors` provides GraphSAGE-style fanout capping for
+minibatch training on larger graphs.
 
-All frontier expansions run on the graph's CSR index
-(:meth:`~repro.graph.graph.ESellerGraph.out_csr` /
-:meth:`~repro.graph.graph.ESellerGraph.in_csr`), so each BFS hop touches
+All frontier expansions run on the graph's incidence index
+(:meth:`~repro.graph.graph.ESellerGraph.incidence`), so each BFS hop touches
 only the edges incident to the current frontier instead of rescanning
-the full edge list.
+the full edge list, and no step allocates per-node state for the whole
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,11 +27,27 @@ from .graph import ESellerGraph
 
 __all__ = [
     "k_hop_nodes",
+    "extract_egos",
     "ego_subgraph",
     "ego_subgraphs",
     "EgoSubgraph",
     "sample_neighbors",
 ]
+
+
+def _segments(lo: np.ndarray, hi: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate the ranges ``lo[i]:hi[i]`` over every ``i``, vectorised.
+
+    Returns the positions and each range's length.
+    """
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64), counts
+    seg_offsets = np.cumsum(counts) - counts
+    return np.arange(total, dtype=np.int64) + np.repeat(lo - seg_offsets,
+                                                         counts), counts
 
 
 def _gather_segments(
@@ -39,17 +58,123 @@ def _gather_segments(
     Fully vectorised CSR multi-row gather: the returned array lists the
     edge indices incident to each node, nodes in the given order.
     """
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = indptr[nodes]
-    seg_offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets, counts)
-    return order[np.repeat(starts, counts) + within]
+    return order[_segments(indptr[nodes], indptr[nodes + 1])[0]]
 
 
-def k_hop_nodes(graph: ESellerGraph, seeds: Sequence[int], hops: int) -> np.ndarray:
+class _Plane:
+    """One edge plane of the extractor: a graph and its incidence index.
+
+    Edge ``i`` of the plane has global id ``offset + i``, which fixes
+    the canonical order of induced edges across planes.  Nodes past the
+    plane's graph (arrival slots past the base) have no edges in it.
+    ``alive`` (or ``None`` for all-live) masks tombstoned edges.
+    """
+
+    __slots__ = ("types", "alive", "offset", "last", "starts", "out_ends",
+                 "ends", "edges", "others")
+
+    def __init__(self, graph: ESellerGraph, offset: int,
+                 alive: Optional[np.ndarray] = None) -> None:
+        self.types = graph.edge_types
+        self.offset = offset
+        self.alive = alive
+        self.last = graph.num_nodes
+        (self.starts, self.out_ends, self.ends, self.edges,
+         self.others) = graph.incidence()
+
+    def incident(self, nodes: np.ndarray, carry: np.ndarray,
+                 outgoing_only: bool
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Live edges at ``nodes`` (both directions, or only leaving
+        them): edge ids, other endpoints, and each edge's copy of its
+        node's ``carry`` value."""
+        slot = np.minimum(nodes, self.last)
+        picks, counts = _segments(
+            self.starts[slot],
+            (self.out_ends if outgoing_only else self.ends)[slot])
+        if not picks.size:
+            return picks, picks, picks
+        edges, others = self.edges[picks], self.others[picks]
+        carry = np.repeat(carry, counts)
+        if self.alive is not None:
+            live = self.alive[edges]
+            edges, others, carry = edges[live], others[live], carry[live]
+        return edges, others, carry
+
+
+def _planes(graph: ESellerGraph, alive: Optional[np.ndarray] = None,
+            overlay: Optional[ESellerGraph] = None) -> List[_Plane]:
+    """Base plane (optional liveness) plus an optional overlay graph of
+    live edges in addition order, numbered after the base."""
+    planes = []
+    if graph.num_edges:
+        planes.append(_Plane(graph, 0, alive))
+    if overlay is not None and overlay.num_edges:
+        planes.append(_Plane(overlay, graph.num_edges))
+    return planes
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that passes a lone part through."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, sorted_keys)`` by binary search (``sorted_keys``
+    sorted and unique)."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def _labelled_k_hop(planes: List[_Plane], num_nodes: int,
+                    seed_keys: np.ndarray, hops: int) -> np.ndarray:
+    """One k-hop expansion for many labelled seed sets at once.
+
+    ``seed_keys`` are the sorted unique keys ``label * num_nodes + node``
+    of the seeds.  Returns the sorted unique keys of every node within
+    ``hops`` undirected hops of a seed carrying the same label (labels
+    expand independently).  Work per hop is proportional to the
+    frontier's incident edges, never to the graph.
+    """
+    visited = frontier = seed_keys
+    for hop in range(hops):
+        if frontier.size == 0 or not planes:
+            break
+        f_labels, f_nodes = np.divmod(frontier, num_nodes)
+        found = []
+        for plane in planes:
+            _, others, lab = plane.incident(f_nodes, f_labels, False)
+            if others.size:
+                found.append(lab * num_nodes + others)
+        found = _concat(found)
+        if hop == hops - 1:
+            return np.union1d(visited, found)
+        found = np.unique(found)
+        frontier = found[~_member(found, visited)]
+        visited = np.sort(np.concatenate((visited, frontier)))
+    return visited
+
+
+def _check_seeds(seeds: np.ndarray, num_nodes: int, what: str) -> None:
+    if seeds.size and not (0 <= seeds.min() and seeds.max() < num_nodes):
+        raise IndexError(
+            f"{what} out of range for {num_nodes} nodes: "
+            f"min={seeds.min()}, max={seeds.max()}"
+        )
+
+
+def k_hop_nodes(
+    graph: ESellerGraph,
+    seeds: Sequence[int],
+    hops: int,
+    num_nodes: Optional[int] = None,
+    alive: Optional[np.ndarray] = None,
+    overlay: Optional[ESellerGraph] = None,
+) -> np.ndarray:
     """Return nodes within ``hops`` (undirected) hops of ``seeds``.
 
     The frontier expands over both in- and out-edges because supply-chain
@@ -57,28 +182,17 @@ def k_hop_nodes(graph: ESellerGraph, seeds: Sequence[int], hops: int) -> np.ndar
     several seeds the result is the union of the per-seed neighborhoods —
     the multi-seed form the serving gateway's batched extraction relies
     on.  Each hop gathers only the frontier's incident edges from the
-    CSR index (O(frontier edges) per hop, not O(E)).
+    incidence index (O(frontier edges) per hop, not O(E)).  ``num_nodes`` /
+    ``alive`` / ``overlay`` describe a live graph over ``graph`` as in
+    :func:`extract_egos`.
     """
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[seeds] = True
-    frontier = np.unique(seeds)
-    if graph.num_edges == 0:
-        return np.flatnonzero(visited)
-    out_indptr, out_order = graph.out_csr()
-    in_indptr, in_order = graph.in_csr()
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        eid_out = _gather_segments(out_indptr, out_order, frontier)
-        eid_in = _gather_segments(in_indptr, in_order, frontier)
-        nxt = np.unique(np.concatenate([graph.dst[eid_out], graph.src[eid_in]]))
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-    return np.flatnonzero(visited)
+    n = graph.num_nodes if num_nodes is None else int(num_nodes)
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+    _check_seeds(seeds, n, "seeds")
+    return _labelled_k_hop(_planes(graph, alive, overlay), n,
+                           np.unique(seeds), hops)
 
 
 @dataclass
@@ -101,6 +215,90 @@ class EgoSubgraph:
         return self.subgraph.num_nodes
 
 
+def extract_egos(
+    graph: ESellerGraph,
+    centers: Sequence[int],
+    hops: int = 2,
+    num_nodes: Optional[int] = None,
+    alive: Optional[np.ndarray] = None,
+    overlay: Optional[ESellerGraph] = None,
+    node_ids: Optional[Sequence[str]] = None,
+) -> List[EgoSubgraph]:
+    """The one ego extractor: every center of a batch in one pass.
+
+    ``graph`` is the (base) edge list with its incidence index.  A live
+    graph over it passes ``num_nodes`` (its node space may extend past
+    the base), the base's ``alive`` mask (``False`` = tombstoned) and an
+    ``overlay`` graph of live added edges in addition order;
+    ``node_ids`` labels the subgraphs' nodes.
+
+    One labelled k-hop pass (label = the center's batch position, so
+    duplicate centers expand independently) finds every ego's nodes;
+    each ego's induced edges are its nodes' out-edges whose other end is
+    in the same ego, put into canonical order — base edges in base
+    order, then overlay edges in addition order — by one argsort over
+    the whole batch and split per center.  The result equals extracting
+    each center on its own from the equivalent static graph: same
+    ``nodes``, ``center_local`` and edge arrays in the same order.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be non-negative, got {hops}")
+    n = graph.num_nodes if num_nodes is None else int(num_nodes)
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    _check_seeds(centers, n, "centers")
+    m = centers.size
+    if m == 0:
+        return []
+    planes = _planes(graph, alive, overlay)
+    center_keys = np.arange(m, dtype=np.int64) * n + centers
+    keys = _labelled_k_hop(planes, n, center_keys, hops)
+    labels, nodes = np.divmod(keys, n)
+    node_counts = np.bincount(labels, minlength=m)
+    node_starts = np.cumsum(node_counts) - node_counts
+    # Induced edges: each node's out-edges whose destination shares the
+    # node's label, ordered canonically by (label, global edge id).
+    span = planes[-1].offset + planes[-1].types.size if planes else 1
+    e_key, e_src, e_dst, e_type = [], [], [], []
+    at = np.arange(keys.size, dtype=np.int64)
+    for plane in planes:
+        eids, others, src_at = plane.incident(nodes, at, True)
+        if not eids.size:
+            continue
+        lab = labels[src_at]
+        dst_keys = lab * n + others
+        dst_at = np.searchsorted(keys, dst_keys)
+        inside = keys[np.minimum(dst_at, keys.size - 1)] == dst_keys
+        eids = eids[inside]
+        e_key.append(lab[inside] * span + (eids + plane.offset))
+        e_src.append(src_at[inside])
+        e_dst.append(dst_at[inside])
+        e_type.append(plane.types[eids])
+    e_key = _concat(e_key)
+    order = np.argsort(e_key)
+    e_lab = e_key[order] // span
+    starts = node_starts[e_lab]
+    e_src = _concat(e_src)[order] - starts
+    e_dst = _concat(e_dst)[order] - starts
+    e_type = _concat(e_type)[order]
+    edge_counts = np.bincount(e_lab, minlength=m)
+    node_bounds = np.cumsum(node_counts).tolist()
+    edge_bounds = np.cumsum(edge_counts).tolist()
+    center_local = (np.searchsorted(keys, center_keys)
+                    - node_starts).tolist()
+    egos: List[EgoSubgraph] = []
+    n_lo = e_lo = 0
+    for i, center in enumerate(centers.tolist()):
+        n_hi, e_hi = node_bounds[i], edge_bounds[i]
+        ego_nodes = nodes[n_lo:n_hi]
+        ids = None if node_ids is None else [node_ids[v] for v in ego_nodes]
+        sub = ESellerGraph(n_hi - n_lo, e_src[e_lo:e_hi], e_dst[e_lo:e_hi],
+                           e_type[e_lo:e_hi], ids, check_range=False)
+        egos.append(EgoSubgraph(center=center, subgraph=sub, nodes=ego_nodes,
+                                center_local=center_local[i]))
+        n_lo, e_lo = n_hi, e_hi
+    return egos
+
+
 def ego_subgraph(
     graph: ESellerGraph, center: int, hops: int = 2
 ) -> Tuple[ESellerGraph, np.ndarray, int]:
@@ -110,12 +308,8 @@ def ego_subgraph(
     The center is always the node whose prediction the online server
     computes (paper Fig. 5).
     """
-    if not 0 <= center < graph.num_nodes:
-        raise IndexError(f"center {center} out of range for {graph.num_nodes} nodes")
-    nodes = k_hop_nodes(graph, [center], hops)
-    sub, originals = graph.subgraph(nodes)
-    center_local = int(np.searchsorted(originals, center))
-    return sub, originals, center_local
+    ego = ego_subgraphs(graph, [center], hops)[0]
+    return ego.subgraph, ego.nodes, ego.center_local
 
 
 def ego_subgraphs(
@@ -123,33 +317,13 @@ def ego_subgraphs(
 ) -> List[EgoSubgraph]:
     """Batched multi-seed ego-subgraph extraction.
 
-    Extracts one :class:`EgoSubgraph` per center, sharing the graph's CSR
-    index across all of them.  Each per-center node set equals the
-    corresponding single-seed :func:`ego_subgraph` exactly, so a serving
-    layer can stitch the results into one node-disjoint batch and still
-    reproduce per-request forwards bit-for-bit.
+    Extracts one :class:`EgoSubgraph` per center in a single
+    :func:`extract_egos` pass over the graph's incidence index.  Each ego
+    equals the corresponding single-seed :func:`ego_subgraph` exactly,
+    so a serving layer can stitch the results into one node-disjoint
+    batch and still reproduce per-request forwards bit-for-bit.
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    if centers.size and not (0 <= centers.min() and centers.max() < graph.num_nodes):
-        raise IndexError(
-            f"centers out of range for {graph.num_nodes} nodes: "
-            f"min={centers.min()}, max={centers.max()}"
-        )
-    if graph.num_edges:
-        graph.out_csr()
-        graph.in_csr()
-    results: List[EgoSubgraph] = []
-    for center in centers:
-        sub, originals, center_local = ego_subgraph(graph, int(center), hops)
-        results.append(
-            EgoSubgraph(
-                center=int(center),
-                subgraph=sub,
-                nodes=originals,
-                center_local=center_local,
-            )
-        )
-    return results
+    return extract_egos(graph, centers, hops, node_ids=graph.node_ids)
 
 
 def sample_neighbors(
@@ -173,8 +347,8 @@ def sample_neighbors(
     if nodes.size == 0 or graph.num_edges == 0:
         return empty, empty.copy(), empty.copy()
     indptr, order = graph.in_csr()
-    counts = indptr[nodes + 1] - indptr[nodes]
-    edges = _gather_segments(indptr, order, nodes)
+    picks, counts = _segments(indptr[nodes], indptr[nodes + 1])
+    edges = order[picks]
     if edges.size == 0:
         return empty, empty.copy(), empty.copy()
     segments = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)

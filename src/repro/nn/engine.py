@@ -1531,10 +1531,6 @@ def match_fusion(op: str, inputs: Sequence, meta: Optional[dict]):
             out = prod.data.sum(axis=meta["axis"], keepdims=meta["keepdims"])
             _bump("fused_mul_sum")
             return "mul_sum", prod._parents, new_meta, out, None
-    elif op == "concat" and len(inputs) >= 2 and meta["axis"] in (-1, 2):
-        fused = _match_conv_bank(inputs)
-        if fused is not None:
-            return fused
     elif op == "masked_softmax" and len(inputs) == 1:
         prod = inputs[0]
         if _is_recorded(prod, "mul"):
@@ -1550,41 +1546,6 @@ def match_fusion(op: str, inputs: Sequence, meta: Optional[dict]):
                     _bump("fused_scaled_masked_softmax")
                     return "scaled_masked_softmax", (raw,), new_meta, out, None
     return None
-
-
-def _match_conv_bank(inputs: Sequence):
-    """Concat of causal convs over one shared input -> ``multi_conv1d``.
-
-    Fires on TEL-style multi-scale banks.  Unlike the other fusion
-    rules, the bank recomputes its forward (one im2col + one block GEMM)
-    instead of splicing the per-scale outputs, so that the recorded
-    value is bit-identical to what plan replay computes; the bypassed
-    per-scale conv nodes are pruned from the plan.
-    """
-    first_bias = None
-    for node in inputs:
-        if not _is_recorded(node, "conv1d") or node.data.ndim != 3:
-            return None
-        width = node._parents[1].data.shape[0]
-        if node._meta["right"] != 0 or node._meta["left"] != width - 1:
-            return None  # not causal
-        has_bias = len(node._parents) == 3
-        if first_bias is None:
-            first_bias = has_bias
-        elif has_bias != first_bias:
-            return None
-        if node._parents[0] is not inputs[0]._parents[0]:
-            return None  # different source tensors
-    x = inputs[0]._parents[0]
-    weights = tuple(node._parents[1] for node in inputs)
-    biases = tuple(node._parents[2] for node in inputs) if first_bias else ()
-    new_meta = {"num_scales": len(inputs), "bias": first_bias}
-    new_inputs = (x,) + weights + biases
-    out, saved = _fw_multi_conv1d(
-        new_meta, tuple(t.data for t in new_inputs)
-    )
-    _bump("fused_multi_conv1d")
-    return "multi_conv1d", new_inputs, new_meta, out, saved
 
 
 # ======================================================================

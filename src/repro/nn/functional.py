@@ -239,17 +239,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def conv_bank(x: Tensor, weights: Sequence[Tensor],
-              biases: Optional[Sequence[Optional[Tensor]]] = None) -> tuple:
+              biases: Optional[Sequence[Optional[Tensor]]] = None) -> Tensor:
     """Bank of causal convolutions sharing one input, fused to one GEMM.
 
-    Computes ``conv1d(x, w_i, b_i, padding="causal")`` for every kernel
-    and returns the outputs as a tuple.  Under the engine's fused mode
-    the whole bank records a single ``multi_conv1d`` node (one im2col +
-    one block GEMM + slicing) — the same fusion the engine applies
-    automatically to ``concat``-of-convs patterns like the TEL groups —
-    which is ~2-3x faster than K separate skinny convolutions.  In
-    eager mode it degrades to the K separate convs, preserving the
-    reference numerics exactly.
+    Returns the channel-concatenation of ``conv1d(x, w_i, b_i,
+    padding="causal")`` over every kernel, in kernel order — callers
+    that need the per-kernel outputs slice the block themselves.  Under
+    the engine's fused mode the whole bank is one ``multi_conv1d`` node
+    (one im2col + one block GEMM), ~2-3x faster than K separate skinny
+    convolutions; it runs fused in recorded training forwards and in
+    unrecorded serving forwards alike, since this entry point is the
+    only route to the kernel.  In eager mode it degrades to the K
+    separate convs plus a concat, preserving the reference numerics
+    exactly.
 
     ``biases`` must be all-``None`` or all tensors (mirroring how every
     call site constructs its convs).
@@ -260,22 +262,12 @@ def conv_bank(x: Tensor, weights: Sequence[Tensor],
     if any((b is not None) != has_bias for b in bias_list):
         raise ValueError("conv_bank requires all-or-none biases")
     if not engine.fused_enabled():
-        return tuple(
-            conv1d(x, w, b, padding="causal")
-            for w, b in zip(weights, bias_list)
-        )
+        return concat([conv1d(x, w, b, padding="causal")
+                       for w, b in zip(weights, bias_list)], axis=-1)
+    engine._bump("fused_multi_conv1d")
     inputs = (x, *weights) + (tuple(bias_list) if has_bias else ())
     meta = {"num_scales": len(weights), "bias": has_bias}
-    stacked = _apply_op("multi_conv1d", inputs, meta)
-    outputs = []
-    col = 0
-    for w in weights:
-        c_out = w.data.shape[2]
-        outputs.append(
-            stacked[(slice(None), slice(None), slice(col, col + c_out))]
-        )
-        col += c_out
-    return tuple(outputs)
+    return _apply_op("multi_conv1d", inputs, meta)
 
 
 # ----------------------------------------------------------------------

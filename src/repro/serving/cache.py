@@ -20,19 +20,21 @@ Two cache planes sit in front of the model replicas:
   evicted or served with a staleness tag, governed by
   ``GatewayConfig(max_staleness_months=...)``.
 
-Both planes are thin policies over one generic :class:`LRUCache`, whose
-hit/miss statistics are *flush-scoped*: ``clear`` and any
-``invalidate_*`` call that actually evicted something fold the counters
-into lifetime totals and restart the current window, so post-churn hit
-rates are never polluted by pre-flush traffic (while no-op delta probes
-leave the window intact).
+Both planes are thin policies over one generic :class:`LRUCache`, which
+keeps a node → keys index of its entries' node sets, so a delta
+invalidation visits only the entries holding a touched node (O(entries
+touched), not O(cache)).  Its hit/miss statistics are *flush-scoped*:
+``clear`` and any ``invalidate_*`` call that actually evicted something
+fold the counters into lifetime totals and restart the current window,
+so post-churn hit rates are never polluted by pre-flush traffic (while
+no-op delta probes leave the window intact).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Dict, Hashable, Optional, Set
 
 import numpy as np
 
@@ -57,6 +59,12 @@ class LRUCache:
       it is the cache-pressure signal, and explicit invalidations are
       not pressure).
 
+    Entries are indexed by node for :meth:`invalidate_touching`: a
+    value's ``nodes`` attribute is the sorted node set it was computed
+    from; a value without one (or with ``nodes=None``) has unknown
+    provenance.  The index is kept in step with every insert, capacity
+    eviction, invalidation, discard and clear.
+
     >>> cache = LRUCache(2)
     >>> cache.put("a", 1)
     >>> cache.put("b", 2)
@@ -75,6 +83,10 @@ class LRUCache:
         self.evictions = 0
         self._flushed_hits = 0
         self._flushed_misses = 0
+        #: node -> keys of the entries holding it.
+        self._by_node: Dict[int, Set[Hashable]] = {}
+        #: keys of the entries of unknown provenance.
+        self._unindexed: Set[Hashable] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,11 +107,44 @@ class LRUCache:
     def put(self, key: Hashable, value) -> None:
         """Insert/refresh an entry, evicting the LRU one when full."""
         if key in self._entries:
+            self._unindex(key, self._entries[key])
             self._entries.move_to_end(key)
         self._entries[key] = value
+        self._index(key, value)
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self._unindex(*self._entries.popitem(last=False))
             self.evictions += 1
+
+    def _index(self, key: Hashable, value) -> None:
+        nodes = getattr(value, "nodes", None)
+        if nodes is None:
+            self._unindexed.add(key)
+            return
+        for node in nodes.tolist():
+            self._by_node.setdefault(node, set()).add(key)
+
+    def _unindex(self, key: Hashable, value) -> None:
+        nodes = getattr(value, "nodes", None)
+        if nodes is None:
+            self._unindexed.discard(key)
+            return
+        for node in nodes.tolist():
+            keys = self._by_node.get(node)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._by_node[node]
+
+    def _drop(self, keys) -> int:
+        """Remove ``keys``; roll the hit-rate window if any were held."""
+        for key in keys:
+            self._unindex(key, self._entries.pop(key))
+        if keys:
+            # A no-op invalidation (nothing matched) leaves the window
+            # alone — under per-event streaming churn, rolling on every
+            # probe would shrink the window to near-zero samples.
+            self._roll_stats()
+        return len(keys)
 
     def _roll_stats(self) -> None:
         """Fold the current hit/miss window into the lifetime totals."""
@@ -125,16 +170,30 @@ class LRUCache:
         node sets live in the values, not the keys.  Starts a fresh
         hit-rate window when anything was evicted.
         """
-        doomed = [key for key, value in self._entries.items()
-                  if predicate(key, value)]
-        for key in doomed:
-            del self._entries[key]
-        if doomed:
-            # A no-op invalidation (nothing matched) leaves the window
-            # alone — under per-event streaming churn, rolling on every
-            # probe would shrink the window to near-zero samples.
-            self._roll_stats()
-        return len(doomed)
+        return self._drop([key for key, value in self._entries.items()
+                           if predicate(key, value)])
+
+    def invalidate_touching(self, touched: np.ndarray) -> int:
+        """Drop every entry whose node set meets ``touched``.
+
+        Reads the node index: only entries holding a touched node — plus
+        entries of unknown provenance, which conservatively always match
+        — are visited, and each is rechecked against its current node
+        set before it goes.  Equal to ``invalidate_items`` with an
+        intersection predicate, at O(entries touched) instead of
+        O(cache).  Starts a fresh hit-rate window when anything was
+        evicted.
+        """
+        touched = set(touched.tolist())
+        candidates = set(self._unindexed)
+        for node in touched:
+            candidates |= self._by_node.get(node, set())
+        doomed = []
+        for key in candidates:
+            nodes = getattr(self._entries[key], "nodes", None)
+            if nodes is None or not touched.isdisjoint(nodes.tolist()):
+                doomed.append(key)
+        return self._drop(doomed)
 
     def discard(self, key: Hashable) -> bool:
         """Drop one entry if present; returns whether it existed.
@@ -145,7 +204,7 @@ class LRUCache:
         the validity of the traffic pattern around it.
         """
         if key in self._entries:
-            del self._entries[key]
+            self._unindex(key, self._entries.pop(key))
             return True
         return False
 
@@ -169,6 +228,8 @@ class LRUCache:
         """
         dropped = len(self._entries)
         self._entries.clear()
+        self._by_node.clear()
+        self._unindexed.clear()
         self._roll_stats()
         return dropped
 
@@ -182,17 +243,6 @@ class LRUCache:
         hits = self._flushed_hits + self.hits
         total = hits + self._flushed_misses + self.misses
         return hits / total if total else 0.0
-
-
-def _intersects(nodes: Optional[np.ndarray], touched: np.ndarray) -> bool:
-    """Whether a memoised (sorted) node set meets the touched frontier.
-
-    ``None`` node sets (legacy entries with no recorded provenance)
-    conservatively count as intersecting.
-    """
-    if nodes is None:
-        return True
-    return bool(np.isin(touched, nodes, assume_unique=False).any())
 
 
 class SubgraphCache:
@@ -236,9 +286,7 @@ class SubgraphCache:
         touched = np.asarray(touched, dtype=np.int64)
         if touched.size == 0:
             return 0
-        return self._lru.invalidate_items(
-            lambda _key, ego: _intersects(ego.nodes, touched)
-        )
+        return self._lru.invalidate_touching(touched)
 
     @property
     def stats(self) -> LRUCache:
@@ -342,9 +390,7 @@ class ResultCache:
         touched = np.asarray(touched, dtype=np.int64)
         if touched.size == 0:
             return 0
-        return self._lru.invalidate_items(
-            lambda _key, result: _intersects(result.nodes, touched)
-        )
+        return self._lru.invalidate_touching(touched)
 
     def clear(self) -> int:
         """Drop all entries."""

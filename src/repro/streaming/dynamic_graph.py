@@ -14,7 +14,8 @@ makes mutation cheap instead:
 
 Neighbor queries (:meth:`k_hop_nodes`, :meth:`ego_subgraph`, degrees)
 merge the three planes on the fly, so they see every update immediately
-at O(overlay) extra cost — no per-event CSR rebuilds.  When the overlay
+at O(overlay) extra cost — no per-event CSR rebuilds of the base (the
+overlay's small index is re-sorted by the first query after it changes).  When the overlay
 plus tombstones outgrow ``compact_threshold`` of the live edge count,
 :meth:`compact` folds everything into a fresh base.
 
@@ -52,7 +53,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import EgoSubgraph, _gather_segments
+from ..graph.sampling import (
+    EgoSubgraph,
+    _gather_segments,
+    extract_egos,
+    k_hop_nodes,
+)
 from ..obs import tracing as obs_tracing
 from .events import (
     EdgeAdded,
@@ -152,6 +158,9 @@ class DynamicGraph:
         self._ov_out: Dict[int, List[int]] = {}
         self._ov_in: Dict[int, List[int]] = {}
         self._ov_live = 0
+        #: live overlay edges as a graph for the extractor; rebuilt on
+        #: the first extraction after an overlay change.
+        self._ov_graph: Optional[ESellerGraph] = None
         # LIFO stacks of global edge positions (base: 0..B-1, overlay:
         # B..) per (src, dst, type) key — the retirement rule shared
         # with the cold fold (events.edge_history).  Materialised lazily
@@ -251,6 +260,7 @@ class DynamicGraph:
         self._ov_type.append(edge_type)
         self._ov_alive.append(True)
         self._ov_live += 1
+        self._ov_graph = None
         self._ov_out.setdefault(src, []).append(len(self._ov_src) - 1)
         self._ov_in.setdefault(dst, []).append(len(self._ov_src) - 1)
         stack = self._live.get((src, dst, edge_type))
@@ -305,6 +315,7 @@ class DynamicGraph:
         else:
             self._ov_alive[pos - self._base.num_edges] = False
             self._ov_live -= 1
+            self._ov_graph = None
         self._touched_out.add(key[0])
         self._touched_in.add(key[1])
         self._out_deg[key[0]] -= 1
@@ -493,127 +504,43 @@ class DynamicGraph:
         """Live in-degree of every node."""
         return self._in_deg.copy()
 
-    def _base_neighbors(self, frontier: np.ndarray) -> List[np.ndarray]:
-        """Undirected base-plane neighbors of ``frontier`` (live edges only)."""
-        base = self._base
-        hits: List[np.ndarray] = []
-        in_base = frontier[frontier < base.num_nodes]
-        if in_base.size == 0 or base.num_edges == 0:
-            return hits
-        out_indptr, out_order = base.out_csr()
-        in_indptr, in_order = base.in_csr()
-        eid_out = _gather_segments(out_indptr, out_order, in_base)
-        eid_in = _gather_segments(in_indptr, in_order, in_base)
-        if self._dead:
-            eid_out = eid_out[self._base_alive[eid_out]]
-            eid_in = eid_in[self._base_alive[eid_in]]
-        hits.append(base.dst[eid_out])
-        hits.append(base.src[eid_in])
-        return hits
-
-    def _overlay_neighbors(self, frontier: np.ndarray) -> List[int]:
-        """Undirected overlay-plane neighbors of ``frontier`` (live only)."""
-        found: List[int] = []
-        for node in frontier.tolist():
-            for pos in self._ov_out.get(node, ()):
-                if self._ov_alive[pos]:
-                    found.append(self._ov_dst[pos])
-            for pos in self._ov_in.get(node, ()):
-                if self._ov_alive[pos]:
-                    found.append(self._ov_src[pos])
-        return found
+    def _live_planes(self) -> dict:
+        """The live graph as :func:`~repro.graph.sampling.extract_egos`
+        sees it: node space, base tombstones and live overlay edges."""
+        if self._ov_graph is None and self._ov_live:
+            src = np.asarray(self._ov_src, dtype=np.int64)
+            dst = np.asarray(self._ov_dst, dtype=np.int64)
+            types = np.asarray(self._ov_type, dtype=np.int64)
+            if self._ov_live < len(self._ov_alive):
+                live = np.asarray(self._ov_alive, dtype=bool)
+                src, dst, types = src[live], dst[live], types[live]
+            self._ov_graph = ESellerGraph(self.num_nodes, src, dst, types)
+        return {"num_nodes": self.num_nodes,
+                "alive": self._base_alive if self._dead else None,
+                "overlay": self._ov_graph}
 
     def k_hop_nodes(self, seeds: Sequence[int], hops: int) -> np.ndarray:
         """Nodes within ``hops`` undirected hops of ``seeds``.
 
         Matches :func:`repro.graph.sampling.k_hop_nodes` on the
         equivalent static graph exactly; the frontier expands over the
-        base CSR (tombstones filtered) merged with the overlay adjacency.
+        base's incidence index (tombstones filtered) and the overlay's.
         """
-        if hops < 0:
-            raise ValueError(f"hops must be non-negative, got {hops}")
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.num_nodes):
-            raise IndexError(
-                f"seeds out of range for {self.num_nodes} nodes"
-            )
-        visited = np.zeros(self.num_nodes, dtype=bool)
-        visited[seeds] = True
-        frontier = np.unique(seeds)
-        for _ in range(hops):
-            if frontier.size == 0:
-                break
-            hits = self._base_neighbors(frontier)
-            overlay = self._overlay_neighbors(frontier)
-            if overlay:
-                hits.append(np.asarray(overlay, dtype=np.int64))
-            if not hits:
-                break
-            nxt = np.unique(np.concatenate(hits))
-            nxt = nxt[~visited[nxt]]
-            visited[nxt] = True
-            frontier = nxt
-        return np.flatnonzero(visited)
-
-    def induced_subgraph(
-        self, nodes: Sequence[int]
-    ) -> Tuple[ESellerGraph, np.ndarray]:
-        """Induced live subgraph on ``nodes`` (canonical edge order).
-
-        Base survivors come first in base order, then live overlay edges
-        in addition order — the same order
-        ``self.as_graph().subgraph(nodes)`` would produce, which keeps
-        downstream message-passing numerics identical.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
-            raise ValueError("subgraph nodes must be unique")
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size)
-        base = self._base
-        keep = (lookup[base.src] >= 0) & (lookup[base.dst] >= 0)
-        if self._dead:
-            keep &= self._base_alive
-        parts_src = [lookup[base.src[keep]]]
-        parts_dst = [lookup[base.dst[keep]]]
-        parts_type = [base.edge_types[keep]]
-        if self._ov_src:
-            ov_src = np.asarray(self._ov_src, dtype=np.int64)
-            ov_dst = np.asarray(self._ov_dst, dtype=np.int64)
-            ov_type = np.asarray(self._ov_type, dtype=np.int64)
-            ov_keep = (
-                np.asarray(self._ov_alive, dtype=bool)
-                & (lookup[ov_src] >= 0)
-                & (lookup[ov_dst] >= 0)
-            )
-            parts_src.append(lookup[ov_src[ov_keep]])
-            parts_dst.append(lookup[ov_dst[ov_keep]])
-            parts_type.append(ov_type[ov_keep])
-        sub = ESellerGraph(
-            nodes.size,
-            np.concatenate(parts_src),
-            np.concatenate(parts_dst),
-            np.concatenate(parts_type),
-        )
-        return sub, nodes
+        return k_hop_nodes(self._base, seeds, hops, **self._live_planes())
 
     def ego_subgraph(self, center: int, hops: int = 2) -> EgoSubgraph:
         """Extract the live ``hops``-hop ego-subgraph around ``center``."""
-        if not 0 <= center < self.num_nodes:
-            raise IndexError(
-                f"center {center} out of range for {self.num_nodes} nodes"
-            )
-        nodes = self.k_hop_nodes([center], hops)
-        sub, originals = self.induced_subgraph(nodes)
-        return EgoSubgraph(
-            center=int(center),
-            subgraph=sub,
-            nodes=originals,
-            center_local=int(np.searchsorted(originals, center)),
-        )
+        return self.ego_subgraphs([center], hops)[0]
 
     def ego_subgraphs(
         self, centers: Sequence[int], hops: int = 2
     ) -> List[EgoSubgraph]:
-        """Batched ego extraction (the gateway's multi-seed entry point)."""
-        return [self.ego_subgraph(int(c), hops) for c in np.asarray(centers)]
+        """Batched ego extraction (the gateway's multi-seed entry point).
+
+        One :func:`~repro.graph.sampling.extract_egos` pass over the
+        base and overlay incidence indexes.  Edges come in canonical order — base
+        survivors in base order, then live overlay edges in addition
+        order — the same order ``self.as_graph()`` would extract, which
+        keeps downstream message-passing numerics identical.
+        """
+        return extract_egos(self._base, centers, hops, **self._live_planes())

@@ -8,6 +8,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.graph import ESellerGraph
+from repro.graph.sampling import EgoSubgraph
 from repro.nn.tensor import Tensor
 
 
@@ -109,6 +110,74 @@ def shrink_graph(graph: ESellerGraph) -> Iterable[ESellerGraph]:
     used = int(max(graph.src.max(), graph.dst.max())) + 1 if e else 1
     if used < graph.num_nodes:
         yield ESellerGraph(used, graph.src, graph.dst, graph.edge_types)
+
+
+# ----------------------------------------------------------------------
+# per-center ego extraction: the oracle for the batched extractor
+# ----------------------------------------------------------------------
+def reference_k_hop(graph: ESellerGraph, seeds, hops: int) -> np.ndarray:
+    """Frontier BFS over the CSR index with a dense visited mask."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[seeds] = True
+    frontier = np.unique(seeds)
+    for _ in range(hops):
+        if frontier.size == 0 or graph.num_edges == 0:
+            break
+        hits = []
+        for indptr_order, ends in ((graph.out_csr(), graph.dst),
+                                   (graph.in_csr(), graph.src)):
+            indptr, order = indptr_order
+            for v in frontier:
+                hits.append(ends[order[indptr[v]:indptr[v + 1]]])
+        nxt = np.unique(np.concatenate(hits))
+        nxt = nxt[~visited[nxt]]
+        visited[nxt] = True
+        frontier = nxt
+    return np.flatnonzero(visited)
+
+
+def live_static_graph(dyn) -> ESellerGraph:
+    """The static graph a :class:`~repro.streaming.DynamicGraph` stands
+    for, rebuilt from its base + overlay edit history (no compaction)."""
+    base = dyn.base
+    return ESellerGraph.from_edit_history(
+        dyn.num_nodes,
+        np.concatenate([base.src, np.asarray(dyn._ov_src, dtype=np.int64)]),
+        np.concatenate([base.dst, np.asarray(dyn._ov_dst, dtype=np.int64)]),
+        np.concatenate([base.edge_types,
+                        np.asarray(dyn._ov_type, dtype=np.int64)]),
+        np.concatenate([dyn._base_alive, np.asarray(dyn._ov_alive, dtype=bool)]),
+    )
+
+
+def reference_ego_subgraphs(graph, centers, hops: int):
+    """Extract each center on its own: k-hop BFS, then the induced
+    subgraph in the graph's edge order.  A live graph is first turned
+    into the equivalent static graph."""
+    if not isinstance(graph, ESellerGraph):
+        graph = live_static_graph(graph)
+    egos = []
+    for center in np.asarray(centers, dtype=np.int64).tolist():
+        if not 0 <= center < graph.num_nodes:
+            raise IndexError(f"center {center} out of range")
+        sub, nodes = graph.subgraph(reference_k_hop(graph, [center], hops))
+        egos.append(EgoSubgraph(center=center, subgraph=sub, nodes=nodes,
+                                center_local=int(np.searchsorted(nodes, center))))
+    return egos
+
+
+def assert_egos_identical(got, want) -> None:
+    """Bitwise equality of two ego lists: values, dtypes and order."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.center, g.center_local) == (w.center, w.center_local)
+        assert g.subgraph.num_nodes == w.subgraph.num_nodes
+        assert g.subgraph.node_ids == w.subgraph.node_ids
+        for a, b in ((g.nodes, w.nodes), (g.subgraph.src, w.subgraph.src),
+                     (g.subgraph.dst, w.subgraph.dst),
+                     (g.subgraph.edge_types, w.subgraph.edge_types)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def numerical_gradient(fn: Callable[[], float], array: np.ndarray,

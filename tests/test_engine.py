@@ -123,24 +123,27 @@ class TestFusedKernelGradients:
 
         def build(ts):
             xs, w1, w2, w3, b1, b2, b3 = ts
-            outs = F.conv_bank(xs, [w1, w2, w3], [b1, b2, b3])
-            return sum((o * o).sum() for o in outs)
+            block = F.conv_bank(xs, [w1, w2, w3], [b1, b2, b3])
+            return (block * block).sum()
 
         check_gradients(build, [x, *ws, *bs], atol=1e-4)
 
-    def test_concat_of_convs_fuses_to_bank(self):
+    def test_conv_bank_of_modules_records_multi_conv1d(self):
         rng = np.random.default_rng(9)
         x = leaf(rng, 2, 5, 3)
         convs = [Conv1d(3, 2, width=w, rng=rng, padding="causal")
                  for w in (2, 4)]
-        out = F.concat([conv(x) for conv in convs], axis=-1)
+        out = F.conv_bank(x, [c.weight for c in convs],
+                          [c.bias for c in convs])
         assert out._op == "multi_conv1d"
+        np.testing.assert_allclose(
+            out.data, np.concatenate([c(x).data for c in convs], axis=-1),
+            rtol=1e-12, atol=1e-12,
+        )
 
         def build(ts):
             xs, w1, b1, w2, b2 = ts
-            return F.concat(
-                [F.conv1d(xs, w1, b1), F.conv1d(xs, w2, b2)], axis=-1
-            ).sum()
+            return F.conv_bank(xs, [w1, w2], [b1, b2]).sum()
 
         check_gradients(
             build,
@@ -329,6 +332,84 @@ class TestCompiledLoss:
             engine.CompiledLoss(loss_fn).run()
         after = engine.structure_cache_info()["structures"]
         assert after - before <= 1  # identical architectures share one plan
+
+
+# ----------------------------------------------------------------------
+# conv banks: one route (F.conv_bank), fused in training and serving
+# ----------------------------------------------------------------------
+def _conv_ops(ops):
+    return [op for op in ops if op in ("conv1d", "multi_conv1d")]
+
+
+def _mse_loss(model, batch, graph):
+    def loss_fn():
+        pred = model(batch, graph)
+        return (pred * pred).mean()
+
+    return loss_fn
+
+
+class TestConvBankRouting:
+    def test_inference_forward_runs_fused_banks(self, dataset):
+        """Serving forwards (nothing recorded) run TEL's two banks and
+        each layer's gate bank as ``multi_conv1d`` and count them, and
+        equal the recorded training-mode forward bit for bit."""
+        model = small_gaia(dataset)
+        model.eval()
+        batch = dataset.test
+        recorded = model(batch, dataset.graph).data
+        before = engine.stats_snapshot()
+        with engine.inference_mode():
+            served = model(batch, dataset.graph).data
+        after = engine.stats_snapshot()
+        assert after.get("fused_multi_conv1d", 0) \
+            - before.get("fused_multi_conv1d", 0) == 2 + 1
+        assert np.array_equal(served, recorded)
+
+    def test_gaia_plan_op_sequence_and_bitwise_replay(self, dataset):
+        model = small_gaia(dataset, dropout=0.0)
+        batch = dataset.train[0]
+        loss_fn = _mse_loss(model, batch, dataset.graph)
+        params = list(model.parameters())
+        compiled = engine.CompiledLoss(loss_fn)
+        for step in range(3):
+            for p in params:
+                p.zero_grad()
+            replayed = compiled.run()
+            grads = [p.grad.copy() for p in params]
+            for p in params:
+                p.zero_grad()
+            eager = loss_fn()
+            eager.backward()
+            assert replayed == eager.item(), step
+            for g, p in zip(grads, params):
+                assert np.array_equal(g, p.grad), step
+        ops = [step.op for step in compiled._plan.structure.steps]
+        # TEL capture + denoise banks; the layer's CAU Q/K/V convs and
+        # ITA-GCN gate bank; the head's 1xC conv.
+        assert _conv_ops(ops) == ["multi_conv1d"] * 2 + ["conv1d"] * 3 \
+            + ["multi_conv1d", "conv1d"]
+
+    def test_mtgnn_records_inception_banks_only(self, dataset):
+        from repro.baselines.common import BaselineConfig
+        from repro.baselines.mtgnn import MTGNN
+
+        config = BaselineConfig(
+            input_window=dataset.input_window, horizon=dataset.horizon,
+            temporal_dim=dataset.temporal_dim, static_dim=dataset.static_dim,
+            channels=6,
+        )
+        model = MTGNN(config, seed=1, num_blocks=2)
+        loss_fn = _mse_loss(model, dataset.train[0], dataset.graph)
+        with engine.trace() as tape:
+            traced = loss_fn()
+        # Filter + gate bank per block; the head's conv.  No per-scale
+        # conv1d nodes are recorded beside the banks.
+        assert _conv_ops([node._op for node in tape.nodes]) == \
+            ["multi_conv1d"] * 4 + ["conv1d"]
+        compiled = engine.CompiledLoss(loss_fn)
+        assert compiled.run() == traced.item()
+        assert compiled.fallback_reason.startswith("dynamic trace")
 
 
 # ----------------------------------------------------------------------

@@ -102,8 +102,7 @@ def _builders():
         b2 = Parameter(rng.normal(size=2), name="b2")
 
         def bank():
-            return F.concat([F.conv1d(xs, w1, b1), F.conv1d(xs, w2, b2)],
-                            axis=-1)
+            return F.conv_bank(xs, [w1, w2], [b1, b2])
 
         return lambda: (bank() + bank()).sum(), [w1, w2, b1, b2]
 

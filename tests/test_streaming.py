@@ -20,7 +20,7 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.data.dataset import make_instance_batch
 from repro.deploy import ModelRegistry
 from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
-from repro.serving import GatewayConfig, LRUCache, ServingGateway
+from repro.serving import GatewayConfig, LRUCache, ResultCache, ServingGateway
 from repro.streaming import (
     DynamicGraph,
     EdgeAdded,
@@ -511,6 +511,105 @@ class TestLRUStatsEpochs:
         cache.invalidate_items(lambda key, value: False)
         assert cache.hit_rate() == 1.0
         assert cache.hits == 2
+
+
+class _Entry:
+    def __init__(self, nodes):
+        self.nodes = nodes
+
+
+def _random_cache_ops(rng):
+    ops = []
+    for _ in range(int(rng.integers(1, 60))):
+        kind = rng.random()
+        key = int(rng.integers(0, 10))
+        if kind < 0.45:
+            nodes = None if rng.random() < 0.1 else np.unique(
+                rng.integers(0, 12, size=int(rng.integers(1, 5))))
+            ops.append(("put", key, nodes))
+        elif kind < 0.6:
+            ops.append(("get", key, None))
+        elif kind < 0.85:
+            ops.append(("touch", key,
+                        np.unique(rng.integers(0, 12, size=2))))
+        elif kind < 0.92:
+            ops.append(("discard", key, None))
+        elif kind < 0.97:
+            ops.append(("expire", key, None))
+        else:
+            ops.append(("clear", key, None))
+    return int(rng.integers(1, 6)), ops
+
+
+def _scan_touching(cache, touched):
+    """The O(cache) delta scan: the oracle for the node index."""
+    return cache.invalidate_items(
+        lambda _key, entry: entry.nodes is None
+        or bool(np.isin(touched, entry.nodes).any()))
+
+
+class TestIndexedInvalidation:
+    def test_node_index_equals_full_scan(self):
+        """Indexed delta invalidation evicts exactly what a scan over
+        every entry evicts, through puts, LRU capacity evictions,
+        discards, expiry sweeps and clears, with equal hit-rate windows
+        (no-op invalidations included).  The index is in step with the
+        entries after every operation."""
+
+        def prop(case):
+            capacity, ops = case
+            indexed = LRUCache(capacity)
+            scanned = LRUCache(capacity)
+            for op, key, arg in ops:
+                if op == "put":
+                    indexed.put(key, _Entry(arg))
+                    scanned.put(key, _Entry(arg))
+                elif op == "get":
+                    indexed.get(key)
+                    scanned.get(key)
+                elif op == "touch":
+                    assert indexed.invalidate_touching(arg) \
+                        == _scan_touching(scanned, arg)
+                elif op == "discard":
+                    assert indexed.discard(key) == scanned.discard(key)
+                elif op == "expire":
+                    assert indexed.invalidate_if(lambda k: k < key) \
+                        == scanned.invalidate_if(lambda k: k < key)
+                else:
+                    indexed.clear()
+                    scanned.clear()
+                assert list(indexed._entries) == list(scanned._entries)
+                assert (indexed.hits, indexed.misses, indexed.evictions) \
+                    == (scanned.hits, scanned.misses, scanned.evictions)
+                by_node, unindexed = {}, set()
+                for k, entry in indexed._entries.items():
+                    if entry.nodes is None:
+                        unindexed.add(k)
+                    for node in [] if entry.nodes is None \
+                            else entry.nodes.tolist():
+                        by_node.setdefault(node, set()).add(k)
+                assert indexed._by_node == by_node
+                assert indexed._unindexed == unindexed
+
+        def shrink(case):
+            capacity, ops = case
+            if len(ops) > 1:
+                yield capacity, ops[: len(ops) // 2]
+            for drop in range(min(len(ops), 8)):
+                yield capacity, ops[:drop] + ops[drop + 1:]
+
+        forall(_random_cache_ops, prop, trials=200, seed=41, shrink=shrink,
+               name="indexed invalidation == full scan")
+
+    def test_result_cache_expiry_keeps_index(self):
+        cache = ResultCache(capacity=4)
+        cache.put(1, 2, 0, np.zeros(3), 2, nodes=[1, 5], data_month=3)
+        cache.put(2, 2, 0, np.zeros(3), 1, nodes=[2], data_month=5)
+        assert cache.invalidate_nodes(np.array([7])) == 0
+        assert cache.expire_older_than(4) == 1      # shop 1 expired
+        assert cache.invalidate_nodes(np.array([5])) == 0
+        assert cache.invalidate_nodes(np.array([2])) == 1
+        assert len(cache) == 0 and cache.stats._by_node == {}
 
 
 # ----------------------------------------------------------------------
