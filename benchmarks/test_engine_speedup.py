@@ -2,11 +2,10 @@
 
 Perf probe for the ``repro.nn.engine`` tentpole: on the 1000-shop
 synthetic marketplace a Gaia training step through the compiled plan
-(fused kernels + structure-cached schedule + pass-pipeline CSE + the
-memory-planned arena) must run at least 2x faster than the pre-engine
-eager path (``REPRO_NN_ENGINE=eager`` reference kernels, per-step graph
-builds), while reproducing the eager loss trajectory to <= 1e-12 and
-allocating **zero** arena buffers per steady-state replay.
+(fused kernels + structure-cached schedule replay) must run at least 2x
+faster than the pre-engine eager path (``REPRO_NN_ENGINE=eager``
+reference kernels, per-step graph builds), while reproducing the eager
+loss trajectory to <= 1e-12.
 
 A second scenario measures the ``float32`` serving backend: gateway
 request p95 latency vs the ``float64`` reference on the same request
@@ -110,19 +109,17 @@ def _timed_steps(dataset, mode: str, use_engine: bool, steps: int):
 
         # Two untimed warmup steps per mode: on the engine path the
         # first traces and compiles the plan and the second is the
-        # first replay, which materialises the arena buffers — timed
-        # steps then exercise pure steady state.  Both modes take the
-        # same warmup, so the timed loss trajectories stay step-aligned
-        # for the drift comparison.
+        # first replay — timed steps then exercise pure steady state.
+        # Both modes take the same warmup, so the timed loss
+        # trajectories stay step-aligned for the drift comparison.
         one_step()
         one_step()
-        warm_stats = engine.stats_snapshot()
         losses = []
         started = time.perf_counter()
         for _ in range(steps):
             losses.append(one_step())
         elapsed = time.perf_counter() - started
-        return elapsed / steps, losses, warm_stats
+        return elapsed / steps, losses
     finally:
         engine.set_engine_mode(previous_mode)
 
@@ -130,11 +127,11 @@ def _timed_steps(dataset, mode: str, use_engine: bool, steps: int):
 def test_engine_training_speedup(engine_baseline):
     market, dataset = bench_dataset(ENGINE_SHOPS, seed=7,
                                     config_factory=MarketplaceConfig)
-    eager_step, eager_losses, _ = _timed_steps(
+    eager_step, eager_losses = _timed_steps(
         dataset, "eager", use_engine=False, steps=max(4, ENGINE_STEPS // 2)
     )
     engine.reset_stats()
-    engine_step, engine_losses, warm_stats = _timed_steps(
+    engine_step, engine_losses = _timed_steps(
         dataset, "fused", use_engine=True, steps=ENGINE_STEPS
     )
     stats = engine.stats_snapshot()
@@ -143,15 +140,6 @@ def test_engine_training_speedup(engine_baseline):
         abs(a - b) for a, b in zip(eager_losses, engine_losses)
     )
     throughput = 1.0 / engine_step
-
-    # Arena steady state: the warmup step materialised every plan's
-    # buffers, so the timed replays must not have allocated any more.
-    replays = max(1, stats.get("plan_replays", 0)
-                  - warm_stats.get("plan_replays", 0))
-    allocations_per_replay = (
-        stats.get("arena_buffers_allocated", 0)
-        - warm_stats.get("arena_buffers_allocated", 0)
-    ) / replays
 
     record = {
         "timestamp": datetime.now().isoformat(timespec="seconds"),
@@ -163,13 +151,10 @@ def test_engine_training_speedup(engine_baseline):
         "speedup": speedup,
         "engine_steps_per_second": throughput,
         "max_loss_trajectory_drift": drift,
-        "allocations_per_replay": allocations_per_replay,
-        "peak_arena_bytes": stats.get("arena_bytes_allocated", 0),
-        "cse_eliminated_steps": stats.get("cse_eliminated_steps", 0),
         "engine_stats": {
             key: stats[key]
             for key in sorted(stats)
-            if key.startswith(("fused_", "plan", "arena_", "cse_"))
+            if key.startswith(("fused_", "plan"))
         },
     }
 
@@ -178,13 +163,6 @@ def test_engine_training_speedup(engine_baseline):
     )
     assert stats.get("plan_replays", 0) >= ENGINE_STEPS - 1, (
         "engine fell back to eager execution instead of replaying plans"
-    )
-    assert allocations_per_replay == 0.0, (
-        f"arena not in steady state: {allocations_per_replay} buffer "
-        "allocations per replay after warmup"
-    )
-    assert stats.get("arena_bytes_allocated", 0) > 0, (
-        "arena never materialised — memory planning is not engaging"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"engine speedup {speedup:.2f}x below the {MIN_SPEEDUP}x target "

@@ -4,7 +4,7 @@ Every model in this repository bottoms out in the reverse-mode autograd
 of :mod:`repro.nn.tensor`.  The original implementation was deliberately
 eager: each op allocated a fresh ``Tensor``, captured a backward closure,
 and every ``backward()`` re-derived a topological order.  This module is
-the remedy — *record once, plan, then execute* — in three layers:
+the remedy — *record once, plan, then execute* — in four layers:
 
 1. **Kernel registry** (:data:`KERNELS`).  Every primitive op is a named
    :class:`OpKernel` holding a pure ``forward(meta, arrays)`` /
@@ -40,17 +40,13 @@ the remedy — *record once, plan, then execute* — in three layers:
    pre-allocated, step-reused gradient buffers: no ``Tensor`` objects,
    no closures, no per-step garbage.
 
-4. **Pass pipeline + backends** (:mod:`repro.nn.passes`,
-   :mod:`repro.nn.backends`).  Binding a structure runs plan-level
-   rewrites *between trace and schedule*: structural CSE aliases
-   duplicate kernels' forwards, and liveness analysis assigns outputs
-   to a preallocated arena of reusable buffers, so steady-state replay
-   allocates ≈ nothing for the outputs it manages.  The executing
-   :class:`~repro.nn.backends.ExecutionBackend` supplies the dtype
-   policy, kernel table, and arena flag — ``float64`` (trainers; the
-   bitwise gate below) and a ``float32`` serving backend selected per
+4. **Backends** (:mod:`repro.nn.backends`).  A plan binds to the
+   :class:`~repro.nn.backends.ExecutionBackend` active at compile time,
+   which supplies the dtype policy — ``float64`` (trainers; the bitwise
+   gate below) and a ``float32`` serving backend selected per
    ``GatewayConfig(precision=...)`` with an explicit accuracy budget.
-   Passes never touch the eager path, so planned float64 replay stays
+   Both run the one shared kernel table, and replay calls each step's
+   single ``forward``/``vjp`` pair, so planned float64 replay stays
    bitwise-identical to the fused eager walk.
 
 Replay assumes the traced structure is *static*: same batch arrays, same
@@ -76,7 +72,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.tracing import span as _obs_span
-from . import passes as _passes
 from .backends import (
     BACKENDS,
     FLOAT32_ACCURACY_BUDGET,
@@ -169,13 +164,10 @@ def _malloc_tune_enabled() -> bool:
     """Whether the glibc mmap-threshold tune is allowed by environment.
 
     ``REPRO_NN_MALLOC_TUNE=0`` (or ``false``/``no``/``off``) disables
-    it; the legacy ``REPRO_NN_NO_MALLOC_TUNE=1`` opt-out is still
-    honoured when the new knob is unset.
+    it; unset or any other value allows it.
     """
-    flag = os.environ.get("REPRO_NN_MALLOC_TUNE")
-    if flag is not None:
-        return flag.strip().lower() not in ("0", "false", "no", "off")
-    return not os.environ.get("REPRO_NN_NO_MALLOC_TUNE")
+    flag = os.environ.get("REPRO_NN_MALLOC_TUNE", "")
+    return flag.strip().lower() not in ("0", "false", "no", "off")
 
 
 def _tune_allocator() -> bool:
@@ -203,22 +195,16 @@ def _tune_allocator() -> bool:
 _MALLOC_TUNE_STATE = {"attempted": False, "tuned": False}
 
 
-def ensure_allocator_tuned(arena_covered: bool = False) -> bool:
+def ensure_allocator_tuned() -> bool:
     """Apply the mmap-threshold tune lazily, at most once per process.
 
-    Called on the first eager/fallback step and on plan replays —
-    *not* at import.  ``arena_covered=True`` (the executing plan's
-    arena already recycles every output buffer and runs forward-only)
-    skips the tune without consuming the once-per-process attempt, so
-    a later uncovered workload can still apply it.  Disabled entirely
-    by ``REPRO_NN_MALLOC_TUNE=0`` (see :func:`_malloc_tune_enabled`).
+    Called on the first eager/fallback step, on plan replays and on
+    inference forwards — *not* at import.  Disabled entirely by
+    ``REPRO_NN_MALLOC_TUNE=0`` (see :func:`_malloc_tune_enabled`).
     """
     state = _MALLOC_TUNE_STATE
     if state["attempted"]:
         return state["tuned"]
-    if arena_covered:
-        _bump("malloc_tune_skipped")
-        return False
     state["attempted"] = True
     if not _malloc_tune_enabled():
         return False
@@ -302,12 +288,6 @@ def inference_mode():
 # ======================================================================
 # kernel registry
 # ======================================================================
-#: Conservative default for :attr:`OpKernel.vjp_uses` — assume the VJP
-#: reads everything, so unannotated kernels never get a buffer reused
-#: out from under their backward.
-DEFAULT_VJP_USES = ("inputs", "output", "saved")
-
-
 class OpKernel:
     """A named forward/VJP pair, optionally with a reference variant.
 
@@ -317,36 +297,18 @@ class OpKernel:
     gradient (or ``None``) per input array; the caller unbroadcasts.
     ``ref_forward`` / ``ref_vjp`` preserve the pre-engine float
     association bit-for-bit and are used in ``"eager"`` mode.
-
-    ``forward_out(meta, arrays, out) -> (out, saved)`` is the optional
-    arena variant: write the result into the caller-owned ``out``
-    buffer, **bit-for-bit identical** to ``forward``.  It may return a
-    different array (falling back to a fresh allocation) when the
-    recorded shapes cannot be written in place.
-
-    ``vjp_uses`` declares which forward-time arrays the VJP actually
-    reads — any subset of ``("inputs", "output", "saved")`` — and is
-    the liveness contract :func:`repro.nn.passes.plan_memory` relies on
-    to recycle buffers before backward.  A kernel whose VJP only looks
-    at ``meta``/``grad`` (or array *shapes* via ``meta``) declares
-    ``()``; reading ``len(arrays)`` alone does not count as a use.
     """
 
-    __slots__ = ("name", "forward", "vjp", "ref_forward", "ref_vjp",
-                 "forward_out", "vjp_uses")
+    __slots__ = ("name", "forward", "vjp", "ref_forward", "ref_vjp")
 
     def __init__(self, name: str, forward: Callable, vjp: Callable,
                  ref_forward: Optional[Callable] = None,
-                 ref_vjp: Optional[Callable] = None,
-                 forward_out: Optional[Callable] = None,
-                 vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES) -> None:
+                 ref_vjp: Optional[Callable] = None) -> None:
         self.name = name
         self.forward = forward
         self.vjp = vjp
         self.ref_forward = ref_forward or forward
         self.ref_vjp = ref_vjp or vjp
-        self.forward_out = forward_out
-        self.vjp_uses = tuple(vjp_uses)
 
 
 KERNELS: Dict[str, OpKernel] = {}
@@ -354,21 +316,17 @@ KERNELS: Dict[str, OpKernel] = {}
 
 def register_kernel(name: str, forward: Callable, vjp: Callable,
                     ref_forward: Optional[Callable] = None,
-                    ref_vjp: Optional[Callable] = None,
-                    forward_out: Optional[Callable] = None,
-                    vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES) -> OpKernel:
-    """Add an :class:`OpKernel` to the registry (see ROADMAP for the
-    recipe for new fused kernels)."""
-    kernel = OpKernel(name, forward, vjp, ref_forward, ref_vjp,
-                      forward_out, vjp_uses)
+                    ref_vjp: Optional[Callable] = None) -> OpKernel:
+    """Add an :class:`OpKernel` to the registry (see
+    ``docs/ARCHITECTURE.md``, "Adding a fused kernel", for the recipe)."""
+    kernel = OpKernel(name, forward, vjp, ref_forward, ref_vjp)
     KERNELS[name] = kernel
     return kernel
 
 
 def select_kernel(name: str) -> Tuple[Callable, Callable]:
-    """Resolve the (forward, vjp) pair for the current mode, from the
-    active backend's kernel table."""
-    kernel = active_backend().kernel(name)
+    """Resolve the (forward, vjp) pair for the current mode."""
+    kernel = KERNELS[name]
     if fused_enabled():
         return kernel.forward, kernel.vjp
     return kernel.ref_forward, kernel.ref_vjp
@@ -1166,319 +1124,48 @@ def _bw_mul_sum(meta, grad, arrays, out, saved):
 
 
 # ======================================================================
-# arena forward variants (write into caller-owned buffers)
-# ======================================================================
-# Each ``_fwo_*`` computes exactly what its ``_fw_*`` twin computes —
-# same ufuncs, same order of operations — but lands the result in the
-# arena buffer the memory plan assigned, so steady-state replay does
-# not allocate the outputs it manages.  Bit-for-bit equality with the
-# out-of-place variant is part of the kernel contract (property-tested
-# in ``tests/test_passes.py``); kernels whose result cannot be written
-# in place for the recorded shapes fall back to the allocating twin
-# and return the fresh array.
-def _fwo_add(meta, arrays, out):
-    np.add(arrays[0], arrays[1], out=out)
-    return out, None
-
-
-def _fwo_mul(meta, arrays, out):
-    np.multiply(arrays[0], arrays[1], out=out)
-    return out, None
-
-
-def _fwo_div(meta, arrays, out):
-    np.divide(arrays[0], arrays[1], out=out)
-    return out, None
-
-
-def _fwo_exp(meta, arrays, out):
-    np.exp(arrays[0], out=out)
-    return out, None
-
-
-def _fwo_log(meta, arrays, out):
-    safe = np.maximum(arrays[0], _LOG_EPS)
-    np.log(safe, out=out)
-    return out, safe
-
-
-def _fwo_sqrt(meta, arrays, out):
-    np.sqrt(arrays[0], out=out)
-    return out, None
-
-
-def _fwo_abs(meta, arrays, out):
-    np.abs(arrays[0], out=out)
-    return out, None
-
-
-def _fwo_tanh(meta, arrays, out):
-    np.tanh(arrays[0], out=out)
-    return out, None
-
-
-def _fwo_relu(meta, arrays, out):
-    (a,) = arrays
-    mask = a > 0
-    # a * mask, not np.maximum(a, 0): keeps -0.0 exactly as the
-    # out-of-place kernel produces it.
-    np.multiply(a, mask, out=out)
-    return out, mask
-
-
-def _fwo_leaky_relu(meta, arrays, out):
-    (a,) = arrays
-    one = a.dtype.type(1.0)
-    scale = np.where(a > 0, one, a.dtype.type(meta["negative_slope"]))
-    np.multiply(a, scale, out=out)
-    return out, scale
-
-
-def _fwo_sum(meta, arrays, out):
-    np.sum(arrays[0], axis=meta["axis"], keepdims=meta["keepdims"], out=out)
-    return out, None
-
-
-def _fwo_matmul(meta, arrays, out):
-    a, b = arrays
-    if a.ndim >= 2 and b.ndim >= 2:
-        np.matmul(a, b, out=out)
-        return out, None
-    return _fw_matmul(meta, arrays)  # vector cases: no stable out form
-
-
-def _fwo_linear(meta, arrays, out):
-    x, w, b = arrays
-    if x.ndim < 2 or w.ndim < 2:
-        return _fw_linear(meta, arrays)
-    np.matmul(x, w, out=out)
-    np.add(out, b, out=out)
-    return out, None
-
-
-def _fwo_linear_relu(meta, arrays, out):
-    x, w, b = arrays
-    if x.ndim < 2 or w.ndim < 2:
-        return _fw_linear_relu(meta, arrays)
-    np.matmul(x, w, out=out)
-    np.add(out, b, out=out)
-    mask = out > 0
-    np.multiply(out, mask, out=out)
-    return out, None
-
-
-def _fwo_linear_tanh(meta, arrays, out):
-    x, w, b = arrays
-    if x.ndim < 2 or w.ndim < 2:
-        return _fw_linear_tanh(meta, arrays)
-    np.matmul(x, w, out=out)
-    np.add(out, b, out=out)
-    np.tanh(out, out=out)
-    return out, None
-
-
-def _fwo_softmax(meta, arrays, out):
-    (a,) = arrays
-    axis = meta["axis"]
-    row_max = a.max(axis=axis, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    np.subtract(a, row_max, out=out)
-    np.exp(out, out=out)
-    denom = np.maximum(out.sum(axis=axis, keepdims=True),
-                       _denom_floor(a.dtype))
-    np.divide(out, denom, out=out)
-    return out, None
-
-
-def _fwo_masked_softmax(meta, arrays, out):
-    (a,) = arrays
-    mask, axis = _mask_like(meta, a), meta["axis"]
-    np.add(a, mask, out=out)
-    row_max = out.max(axis=axis, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    np.subtract(out, row_max, out=out)
-    np.exp(out, out=out)
-    denom = out.sum(axis=axis, keepdims=True)
-    np.maximum(denom, _denom_floor(a.dtype), out=denom)
-    np.divide(out, denom, out=out)
-    return out, None
-
-
-def _fwo_scaled_masked_softmax(meta, arrays, out):
-    (a,) = arrays
-    axis = meta["axis"]
-    np.multiply(a, meta["scale"], out=out)
-    out += _mask_like(meta, a)
-    row_max = out.max(axis=axis, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    np.subtract(out, row_max, out=out)
-    np.exp(out, out=out)
-    denom = out.sum(axis=axis, keepdims=True)
-    np.maximum(denom, _denom_floor(a.dtype), out=denom)
-    np.divide(out, denom, out=out)
-    return out, None
-
-
-def _fwo_concat(meta, arrays, out):
-    np.concatenate(arrays, axis=meta["axis"], out=out)
-    return out, None
-
-
-def _fwo_stack(meta, arrays, out):
-    np.stack(arrays, axis=meta["axis"], out=out)
-    return out, None
-
-
-def _fwo_pad_time(meta, arrays, out):
-    (a,) = arrays
-    out.fill(0.0)
-    index = [slice(None)] * a.ndim
-    index[-2] = slice(meta["left"], meta["left"] + a.shape[-2])
-    out[tuple(index)] = a
-    return out, None
-
-
-def _fwo_gather_rows(meta, arrays, out):
-    np.take(arrays[0], meta["index"], axis=0, out=out)
-    return out, None
-
-
-def _fwo_segment_max_gather(meta, arrays, out):
-    (scores,) = arrays
-    ids, num_segments = meta["ids"], meta["num_segments"]
-    seg_max = np.full(num_segments, -np.inf, dtype=scores.dtype)
-    np.maximum.at(seg_max, ids, scores)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    np.take(seg_max, ids, axis=0, out=out)
-    return out, None
-
-
-def _fwo_conv1d(meta, arrays, out):
-    x, w = arrays[0], arrays[1]
-    width, c_in, c_out = w.shape
-    b, t, _ = x.shape
-    if width == 1:
-        np.matmul(x.reshape(b * t, c_in), w[0],
-                  out=out.reshape(b * t, c_out))
-        if len(arrays) == 3:
-            out += arrays[2]
-        return out, None
-    left, right = meta["left"], meta["right"]
-    xp = np.zeros((b, t + left + right, c_in), dtype=x.dtype)
-    xp[:, left:left + t, :] = x
-    cols = _im2col(xp, width)
-    out_t = cols.shape[1]
-    cols2 = np.ascontiguousarray(cols).reshape(b, out_t, width * c_in)
-    np.matmul(cols2, w.reshape(width * c_in, c_out), out=out)
-    if len(arrays) == 3:
-        out += arrays[2]
-    return out, cols2
-
-
-def _fwo_multi_conv1d(meta, arrays, out):
-    n = meta["num_scales"]
-    x = arrays[0]
-    ws = arrays[1:1 + n]
-    widths = tuple(w.shape[0] for w in ws)
-    wmax = max(widths)
-    b, t, c_in = x.shape
-    left = wmax - 1
-    xp = np.zeros((b, t + left, c_in), dtype=x.dtype)
-    xp[:, left:, :] = x
-    cols2 = np.ascontiguousarray(_im2col(xp, wmax)).reshape(b * t, wmax * c_in)
-    block = _block_weight(ws, wmax, c_in)
-    out2 = out.reshape(b * t, out.shape[2])
-    np.matmul(cols2, block, out=out2)
-    if meta["bias"]:
-        out2 += np.concatenate(arrays[1 + n:])
-    return out, (cols2, block)
-
-
-# ======================================================================
 # registry population
 # ======================================================================
-# ``vjp_uses`` annotations are the liveness contract: which of
-# (inputs, output, saved) each kernel's VJP reads at backward time.
-# Reading only ``meta``/``grad`` (or shapes recorded in ``meta``)
-# declares ``()``.  When in doubt, leave the conservative default.
-register_kernel("add", _fw_add, _bw_add,
-                forward_out=_fwo_add, vjp_uses=())
-register_kernel("mul", _fw_mul, _bw_mul,
-                forward_out=_fwo_mul, vjp_uses=("inputs",))
-register_kernel("div", _fw_div, _bw_div,
-                forward_out=_fwo_div, vjp_uses=("inputs",))
-# power has no out-variant: ``a ** e`` may take numpy's scalar-exponent
-# fast paths, which ``np.power(..., out=...)`` is not guaranteed to
-# reproduce bit-for-bit.
-register_kernel("power", _fw_power, _bw_power, vjp_uses=("inputs",))
-register_kernel("matmul", _fw_matmul, _bw_matmul,
-                forward_out=_fwo_matmul, vjp_uses=("inputs",))
-register_kernel("reshape", _fw_reshape, _bw_reshape, vjp_uses=())
-register_kernel("transpose", _fw_transpose, _bw_transpose, vjp_uses=())
-register_kernel("sum", _fw_sum, _bw_sum,
-                forward_out=_fwo_sum, vjp_uses=())
-register_kernel("getitem", _fw_getitem, _bw_getitem,
-                ref_vjp=_bw_getitem_ref, vjp_uses=())
-register_kernel("concat", _fw_concat, _bw_concat,
-                forward_out=_fwo_concat, vjp_uses=())
-register_kernel("stack", _fw_stack, _bw_stack,
-                forward_out=_fwo_stack, vjp_uses=())
-register_kernel("pad_time", _fw_pad_time, _bw_pad_time,
-                forward_out=_fwo_pad_time, vjp_uses=())
-register_kernel("exp", _fw_exp, _bw_exp,
-                forward_out=_fwo_exp, vjp_uses=("output",))
-register_kernel("log", _fw_log, _bw_log,
-                forward_out=_fwo_log, vjp_uses=("saved",))
-register_kernel("sqrt", _fw_sqrt, _bw_sqrt,
-                forward_out=_fwo_sqrt, vjp_uses=("output",))
-register_kernel("abs", _fw_abs, _bw_abs,
-                forward_out=_fwo_abs, vjp_uses=("inputs",))
-register_kernel("relu", _fw_relu, _bw_relu,
-                forward_out=_fwo_relu, vjp_uses=("saved",))
-register_kernel("leaky_relu", _fw_leaky_relu, _bw_leaky_relu,
-                forward_out=_fwo_leaky_relu, vjp_uses=("saved",))
-# sigmoid's branch-stable form routes through np.where (no out=); it
-# stays unmanaged rather than risking an inexact in-place rewrite.
-register_kernel("sigmoid", _fw_sigmoid, _bw_sigmoid, vjp_uses=("output",))
-register_kernel("tanh", _fw_tanh, _bw_tanh,
-                forward_out=_fwo_tanh, vjp_uses=("output",))
-register_kernel("softmax", _fw_softmax, _bw_softmax,
-                forward_out=_fwo_softmax, vjp_uses=("output",))
+register_kernel("add", _fw_add, _bw_add)
+register_kernel("mul", _fw_mul, _bw_mul)
+register_kernel("div", _fw_div, _bw_div)
+register_kernel("power", _fw_power, _bw_power)
+register_kernel("matmul", _fw_matmul, _bw_matmul)
+register_kernel("reshape", _fw_reshape, _bw_reshape)
+register_kernel("transpose", _fw_transpose, _bw_transpose)
+register_kernel("sum", _fw_sum, _bw_sum)
+register_kernel("getitem", _fw_getitem, _bw_getitem, ref_vjp=_bw_getitem_ref)
+register_kernel("concat", _fw_concat, _bw_concat)
+register_kernel("stack", _fw_stack, _bw_stack)
+register_kernel("pad_time", _fw_pad_time, _bw_pad_time)
+register_kernel("exp", _fw_exp, _bw_exp)
+register_kernel("log", _fw_log, _bw_log)
+register_kernel("sqrt", _fw_sqrt, _bw_sqrt)
+register_kernel("abs", _fw_abs, _bw_abs)
+register_kernel("relu", _fw_relu, _bw_relu)
+register_kernel("leaky_relu", _fw_leaky_relu, _bw_leaky_relu)
+register_kernel("sigmoid", _fw_sigmoid, _bw_sigmoid)
+register_kernel("tanh", _fw_tanh, _bw_tanh)
+register_kernel("softmax", _fw_softmax, _bw_softmax)
 register_kernel("masked_softmax", _fw_masked_softmax, _bw_masked_softmax,
                 ref_forward=_fw_masked_softmax_ref,
-                ref_vjp=_bw_masked_softmax_ref,
-                forward_out=_fwo_masked_softmax, vjp_uses=("output",))
+                ref_vjp=_bw_masked_softmax_ref)
 register_kernel("scaled_masked_softmax", _fw_scaled_masked_softmax,
-                _bw_scaled_masked_softmax,
-                forward_out=_fwo_scaled_masked_softmax,
-                vjp_uses=("output",))
+                _bw_scaled_masked_softmax)
 register_kernel("gather_rows", _fw_gather_rows, _bw_gather_rows,
-                ref_vjp=_bw_gather_rows_ref,
-                forward_out=_fwo_gather_rows, vjp_uses=())
-# segment_sum forwards through bincount (allocates internally); an
-# out-variant would only add a copy.
+                ref_vjp=_bw_gather_rows_ref)
 register_kernel("segment_sum", _fw_segment_sum, _bw_segment_sum,
-                ref_forward=_fw_segment_sum_ref, vjp_uses=())
+                ref_forward=_fw_segment_sum_ref)
 register_kernel("segment_max_gather", _fw_segment_max_gather,
-                _bw_segment_max_gather,
-                forward_out=_fwo_segment_max_gather, vjp_uses=())
+                _bw_segment_max_gather)
 register_kernel("conv1d", _fw_conv1d, _bw_conv1d,
-                ref_forward=_fw_conv1d_ref, ref_vjp=_bw_conv1d_ref,
-                forward_out=_fwo_conv1d, vjp_uses=("inputs", "saved"))
-register_kernel("multi_conv1d", _fw_multi_conv1d, _bw_multi_conv1d,
-                forward_out=_fwo_multi_conv1d,
-                vjp_uses=("inputs", "saved"))
-register_kernel("linear", _fw_linear, _bw_linear,
-                forward_out=_fwo_linear, vjp_uses=("inputs",))
-register_kernel("linear_relu", _fw_linear_relu, _bw_linear_relu,
-                forward_out=_fwo_linear_relu,
-                vjp_uses=("inputs", "output"))
-register_kernel("linear_tanh", _fw_linear_tanh, _bw_linear_tanh,
-                forward_out=_fwo_linear_tanh,
-                vjp_uses=("inputs", "output"))
-register_kernel("linear_sigmoid", _fw_linear_sigmoid, _bw_linear_sigmoid,
-                vjp_uses=("inputs", "output"))
-register_kernel("mul_sum", _fw_mul_sum, _bw_mul_sum, vjp_uses=("inputs",))
+                ref_forward=_fw_conv1d_ref, ref_vjp=_bw_conv1d_ref)
+register_kernel("multi_conv1d", _fw_multi_conv1d, _bw_multi_conv1d)
+register_kernel("linear", _fw_linear, _bw_linear)
+register_kernel("linear_relu", _fw_linear_relu, _bw_linear_relu)
+register_kernel("linear_tanh", _fw_linear_tanh, _bw_linear_tanh)
+register_kernel("linear_sigmoid", _fw_linear_sigmoid, _bw_linear_sigmoid)
+register_kernel("mul_sum", _fw_mul_sum, _bw_mul_sum)
 
 #: fused ops reachable only through :func:`match_fusion` or the fused
 #: entry points in :mod:`repro.nn.functional` (``linear``, ``conv_bank``).
@@ -1675,13 +1362,32 @@ def structure_cache_info() -> Dict[str, int]:
     return {"structures": len(_STRUCTURES)}
 
 
+def _prune_dead_nodes(root, recorded_nodes: Sequence) -> Tuple[Dict[int, object], List]:
+    """Dead-node pruning: keep only ancestors of the loss root.
+
+    Returns ``(ancestors, op_nodes)`` where ``ancestors`` maps
+    ``id(node) -> node`` for every node the root depends on and
+    ``op_nodes`` is the recorded tape filtered to those ancestors (in
+    creation order, which is a topological order by construction).
+    """
+    ancestors: Dict[int, object] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in ancestors:
+            continue
+        ancestors[key] = node
+        stack.extend(node._parents)
+    op_nodes = [t for t in recorded_nodes if id(t) in ancestors]
+    return ancestors, op_nodes
+
+
 def compile_plan(root, tape: Tape) -> "ExecutionPlan":
     """Compile a traced scalar loss into an :class:`ExecutionPlan`.
 
-    Lowering order: dead-node pruning (:mod:`repro.nn.passes`) →
-    slot/schedule construction → structure-cache lookup → plan binding,
-    where binding runs the remaining passes (CSE, liveness, arena
-    planning) against the *active backend*.
+    Lowering order: dead-node pruning → slot/schedule construction →
+    structure-cache lookup → plan binding against the *active backend*.
 
     Raises :class:`PlanError` when the graph is not statically
     replayable (dynamic ops, ancestors created outside the trace, or a
@@ -1691,7 +1397,7 @@ def compile_plan(root, tape: Tape) -> "ExecutionPlan":
         raise PlanError("dynamic trace: " + ", ".join(tape.reasons))
     if root.data.size != 1:
         raise PlanError("plans require a scalar loss root")
-    ancestors, op_nodes = _passes.prune_dead_nodes(root, tape.nodes)
+    ancestors, op_nodes = _prune_dead_nodes(root, tape.nodes)
     recorded = {id(t) for t in op_nodes}
     slot_of: Dict[int, int] = {}
     leaves: List = []
@@ -1758,31 +1464,23 @@ class ExecutionPlan:
     arrays.  Parameter leaves are re-read through their ``Tensor``
     (``load_state_dict`` replaces ``.data``), constants are captured
     array references, and per-slot gradient buffers are allocated once
-    and reused across steps.
-
-    Binding runs the pass pipeline (:mod:`repro.nn.passes`) against the
-    backend active at compile time: CSE'd steps skip their forward
-    kernel and alias the original's output/saved, and arena-managed
-    steps write into preallocated buffers (materialised lazily on the
-    first replay, then reused forever), so steady-state replay
-    allocates nothing for the outputs the plan manages.
+    and reused across steps.  The backend active at compile time fixes
+    the plan's dtype.
     """
 
-    __slots__ = ("structure", "metas", "backend", "memory_plan",
+    __slots__ = ("structure", "metas", "backend",
                  "_params", "_consts", "_values",
                  "_saved", "_grads", "_unbroadcast", "_seed", "_dtype",
-                 "_kernels", "_arena", "_arena_covered",
                  "_kstats", "_fw_costs", "_bw_costs",
                  "_profiled_replays", "_profiled_seconds")
 
     def __init__(self, structure: PlanStructure, leaves: List,
-                 metas: List[Optional[dict]],
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metas: List[Optional[dict]]) -> None:
         from .tensor import unbroadcast
 
         self.structure = structure
         self.metas = metas
-        self.backend = backend if backend is not None else active_backend()
+        self.backend = active_backend()
         self._dtype = self.backend.dtype
         self._unbroadcast = unbroadcast
         self._params = [
@@ -1804,22 +1502,6 @@ class ExecutionPlan:
         self._grads: List[Optional[np.ndarray]] = [None] * structure.num_slots
         self._seed = np.ones(structure.slot_shapes[structure.root_slot],
                              dtype=self._dtype)
-        # pass pipeline: CSE + liveness + arena plan, per bound plan
-        # (structure fingerprints meta by shape only, so value-level
-        # rewrites must not be shared across plans).
-        self.memory_plan = _passes.run_pipeline(structure, metas, self.backend)
-        self._kernels = [self.backend.kernel(step.op)
-                         for step in structure.steps]
-        self._arena: Optional[List[Optional[np.ndarray]]] = None
-        if self.memory_plan.cse_eliminated:
-            _bump("cse_eliminated_steps", self.memory_plan.cse_eliminated)
-        _bump("arena_planned_bytes", self.memory_plan.arena_bytes)
-        # Arena "covers" the plan when every executing step writes into
-        # it AND nothing is pinned for a backward pass — then the mmap
-        # tune has nothing left to win (see ensure_allocator_tuned).
-        self._arena_covered = (
-            self.memory_plan.fully_managed and not self._params
-        )
         # profiling plane (populated only while a profiler is installed)
         self._kstats: Dict[Tuple[str, str], List[float]] = {}
         self._fw_costs: Optional[List[Optional[Tuple[float, float]]]] = None
@@ -1840,54 +1522,19 @@ class ExecutionPlan:
         return True
 
     # ------------------------------------------------------------------
-    def _materialize_arena(self) -> List[Optional[np.ndarray]]:
-        """Allocate the plan's arena buffers (once, on first replay)."""
-        plan = self.memory_plan
-        arena: List[Optional[np.ndarray]] = [
-            np.empty(shape, dtype=self._dtype)
-            for shape in plan.buffer_shapes
-        ]
-        self._arena = arena
-        _bump("arena_buffers_allocated", len(arena))
-        _bump("arena_bytes_allocated", plan.arena_bytes)
-        return arena
-
     def forward(self) -> float:
-        """Replay the forward schedule; returns the scalar loss.
-
-        CSE'd steps alias the original's output/saved instead of
-        re-running the kernel; arena-managed steps write into the
-        plan's preallocated buffers.  Both rewrites are bitwise-neutral
-        (see :mod:`repro.nn.passes`).
-        """
+        """Replay the forward schedule; returns the scalar loss."""
         profiler = _PROFILER[0]
         if profiler is not None:
             return self._forward_profiled(profiler)
         values = self._values
         saved = self._saved
-        steps = self.structure.steps
         metas = self.metas
-        plan = self.memory_plan
-        alias = plan.step_alias
-        step_buffer = plan.step_buffer
-        arena = self._arena
-        if arena is None:
-            arena = self._materialize_arena()
         for slot, param in self._params:
             values[slot] = param.data
-        for i, step in enumerate(steps):
-            rep = alias[i]
-            if rep >= 0:
-                values[step.out] = values[steps[rep].out]
-                saved[i] = saved[rep]
-                continue
+        for i, step in enumerate(self.structure.steps):
             arrays = tuple(values[j] for j in step.ins)
-            buf = step_buffer[i]
-            kernel = self._kernels[i]
-            if buf >= 0:
-                out, sv = kernel.forward_out(metas[i], arrays, arena[buf])
-            else:
-                out, sv = kernel.forward(metas[i], arrays)
+            out, sv = step.forward(metas[i], arrays)
             values[step.out] = out
             saved[i] = sv
         return float(values[self.structure.root_slot])
@@ -2090,10 +1737,7 @@ class ExecutionPlan:
         without this, every *cold* plan would pin a full set of
         activations (including im2col buffers) between steps.  Constant
         leaf bindings are kept — they are references to long-lived batch
-        arrays, not copies.  Arena buffers are *not* released: they
-        live in ``self._arena`` for the plan's lifetime (that is the
-        fixed preallocated footprint); only unmanaged outputs, saved
-        tensors, and gradients are dropped here.
+        arrays, not copies.
         """
         values = self._values
         grads = self._grads
@@ -2109,7 +1753,7 @@ class ExecutionPlan:
 
     def run(self) -> float:
         """One full planned training step: forward + backward."""
-        ensure_allocator_tuned(self._arena_covered)
+        ensure_allocator_tuned()
         _bump("plan_replays")
         loss = self.forward()
         self.backward()
@@ -2157,13 +1801,7 @@ class CompiledLoss:
         sorted by cumulative time with calls/seconds/flops/bytes,
         totals, and ``coverage`` (fraction of measured replay wall time
         the kernel timings account for) — plus ``planned`` and
-        ``fallback_reason`` for losses that never compiled.  Planned
-        losses additionally report the pass pipeline's memory plan:
-        ``arena`` (the :meth:`MemoryPlan.report
-        <repro.nn.passes.MemoryPlan.report>` summary — arena bytes,
-        buffer count, reuse, CSE eliminations) and a per-kernel
-        ``arena_bytes`` column attributing each forward kernel's
-        arena-managed output bytes.
+        ``fallback_reason`` for losses that never compiled.
         """
         from ..obs.profiling import KernelProfiler
 
@@ -2177,17 +1815,6 @@ class CompiledLoss:
         report = scratch.report(top)
         report["planned"] = plan is not None
         report["fallback_reason"] = self._reason
-        if plan is not None:
-            memory_plan = plan.memory_plan
-            report["arena"] = memory_plan.report()
-            op_bytes = memory_plan.op_bytes
-            for row in report["kernels"]:
-                row["arena_bytes"] = (
-                    op_bytes.get(row["op"], 0)
-                    if row["phase"] == "forward" else 0
-                )
-        else:
-            report["arena"] = None
         return report
 
     def _eager(self) -> float:
@@ -2205,7 +1832,7 @@ class CompiledLoss:
         plan = self._plan
         if plan is not None:
             if plan.check_bindings():
-                ensure_allocator_tuned(plan._arena_covered)
+                ensure_allocator_tuned()
                 with _obs_span("engine.step"):
                     loss = plan.forward()
                     plan.backward()

@@ -26,7 +26,8 @@ Design notes
   planned executor walks its recorded tape in reverse.  Both walks
   process the same nodes in the same order with the same kernels, which
   makes eager and planned gradients **bit-for-bit identical**; that is
-  the engine's equivalence guarantee (see ROADMAP, "execution engine").
+  the engine's equivalence guarantee (see ``docs/ARCHITECTURE.md``,
+  "Adding a fused kernel").
 * Fusion happens when ops are recorded, behind this module's public API:
   ``add(matmul(x, w), b)`` becomes one ``linear`` node,
   ``relu/tanh/sigmoid`` fold into it, and ``sum(mul(a, b))`` becomes a

@@ -107,8 +107,8 @@ def test_readme_documents_the_test_matrix_and_benchmarks():
 
 
 # Kernel-adjacent helpers that compute on kernel arrays and therefore
-# fall under the same dtype policy as the ``_fw_*``/``_bw_*``/``_fwo_*``
-# bodies themselves.
+# fall under the same dtype policy as the ``_fw_*``/``_bw_*`` bodies
+# themselves.
 KERNEL_HELPERS = {
     "_scatter_rows", "_matmul_vjp_arrays", "_mul_operand_grad",
     "_expand_reduced_grad", "_softmax_dot", "_denom_floor", "_mask_like",
@@ -129,7 +129,7 @@ def test_engine_kernels_never_hardcode_float64():
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         name = node.name
-        if not (name.startswith(("_fw_", "_bw_", "_fwo_"))
+        if not (name.startswith(("_fw_", "_bw_"))
                 or name in KERNEL_HELPERS):
             continue
         for sub in ast.walk(node):
@@ -146,7 +146,7 @@ def test_engine_kernels_never_hardcode_float64():
     scanned = [
         node.name for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
-        and node.name.startswith(("_fw_", "_bw_", "_fwo_"))
+        and node.name.startswith(("_fw_", "_bw_"))
     ]
     assert len(scanned) > 50, f"kernel scan looks vacuous: {len(scanned)}"
 

@@ -1,31 +1,26 @@
-"""Property tests for the plan-compiler pass pipeline and backends.
+"""Plan-replay tests: planned replay == eager, and the backend seam.
 
-Pins down the three contracts ``repro.nn.passes`` makes:
-
-* **CSE is bitwise-neutral** — a planned float64 replay whose trace
-  contains duplicated subexpressions (so CSE actually fires) returns
-  the exact bits of the eager walk, loss and gradients, for every
-  fused-kernel family;
-* **liveness never aliases two simultaneously-live slots** — randomized
-  plan shapes, with an independent interval-overlap check per arena
-  buffer;
-* **the arena reaches steady state** — the first replay materialises
-  the buffers, further replays allocate nothing for managed outputs.
+* **planned replay is bitwise-identical to eager** — loss and gradients
+  of a compiled float64 replay equal the eager walk's exact bits over
+  repeated replays, for every fused-kernel family, and the same holds
+  under the float32 backend;
+* **a plan pins no activations between steps** — after warm replays
+  the only bytes a compiled loss still holds are the parameter
+  gradients it hands back.
 
 Plus the backend seam: dtype policy of leaf tensors, ``use_backend``
 nesting, ``load_state_dict`` cross-precision casts, and the registry's
 float32 state twins.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-
-from helpers import forall
 
 from repro.deploy.model_server import ModelRegistry
 from repro.nn import engine
 from repro.nn import functional as F
-from repro.nn import passes
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
@@ -41,14 +36,15 @@ def _restore_mode():
 
 
 # ----------------------------------------------------------------------
-# CSE + arena replay is bitwise-identical to eager, per kernel family
+# planned replay is bitwise-identical to eager, per kernel family
 # ----------------------------------------------------------------------
 def _builders():
     """One ``(loss_fn, params)`` factory per fused-kernel family.
 
     Each closure rebuilds the identical graph from *stable* leaves on
-    every call (the ``CompiledLoss`` contract) and contains duplicated
-    subexpressions, so structural CSE is guaranteed to fire.
+    every call (the ``CompiledLoss`` contract) and repeats its
+    subexpressions, so one plan runs each kernel more than once and
+    accumulates their gradients.
     """
     rng = np.random.default_rng(17)
     x = rng.normal(size=(4, 6, 3))
@@ -159,16 +155,12 @@ def test_cse_arena_replay_bitwise_equals_eager(family, make):
             assert np.array_equal(p.grad, ref), (
                 f"{family}: grad bits differ at replay {replay}"
             )
-    plan = compiled._plan
-    assert plan is not None
-    report = plan.memory_plan.report()
-    assert report["cse_eliminated"] > 0, f"{family}: CSE never fired"
-    assert report["managed_outputs"] > 0, f"{family}: arena never engaged"
+    assert compiled._plan is not None
 
 
 def test_float32_planned_replay_matches_float32_eager_bitwise():
-    """The equivalence gate is stated for float64, but the pass pipeline
-    is precision-agnostic: the same bitwise property holds under the
+    """The equivalence gate is stated for float64, but replay is
+    precision-agnostic: the same bitwise property holds under the
     float32 backend (same kernels, same schedule, float32 arrays)."""
     with engine.use_backend("float32"):
         rng = np.random.default_rng(3)
@@ -190,185 +182,49 @@ def test_float32_planned_replay_matches_float32_eager_bitwise():
             assert compiled.run() == ref_loss
             assert np.array_equal(w.grad, ref_grad)
         assert compiled._plan is not None
-        assert compiled._plan.memory_plan.dtype == np.float32
+        assert compiled._plan.backend.dtype == np.float32
 
 
 # ----------------------------------------------------------------------
-# liveness: no two simultaneously-live slots share an arena buffer
+# steady-state footprint: a plan holds no activations between steps
 # ----------------------------------------------------------------------
-class _RandomStructure:
-    """A randomly wired schedule quacking like ``PlanStructure`` for the
-    static passes (steps / num_slots / slot_shapes / root_slot)."""
-
-    UNARY = ("exp", "tanh", "relu", "abs", "sqrt", "log", "sigmoid")
-    BINARY = ("add", "mul", "div")
-    VIEW = ("reshape", "transpose")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        num_leaves = int(rng.integers(1, 4))
-        num_steps = int(rng.integers(1, 30))
-        shapes = [(4,), (2, 3), (3, 2), (8,)]
-        self.slot_shapes = [shapes[int(rng.integers(0, len(shapes)))]
-                            for _ in range(num_leaves)]
-        self.steps = []
-        for _ in range(num_steps):
-            live = num_leaves + len(self.steps)
-            kind = rng.random()
-            if kind < 0.2:
-                op = self.VIEW[int(rng.integers(0, len(self.VIEW)))]
-                ins = (int(rng.integers(0, live)),)
-            elif kind < 0.6:
-                op = self.UNARY[int(rng.integers(0, len(self.UNARY)))]
-                ins = (int(rng.integers(0, live)),)
-            else:
-                op = self.BINARY[int(rng.integers(0, len(self.BINARY)))]
-                ins = (int(rng.integers(0, live)),
-                       int(rng.integers(0, live)))
-            out = live
-            self.steps.append(engine._Step(op, ins, out))
-            if op in self.VIEW:
-                self.slot_shapes.append(self.slot_shapes[ins[0]])
-            else:
-                self.slot_shapes.append(
-                    shapes[int(rng.integers(0, len(shapes)))])
-        self.num_slots = num_leaves + num_steps
-        self.root_slot = self.steps[-1].out
-        self.slot_shapes = tuple(self.slot_shapes)
-
-    def __repr__(self) -> str:
-        ops = [(s.op, s.ins, s.out) for s in self.steps]
-        return f"_RandomStructure(root={self.root_slot}, steps={ops})"
-
-
-def _naive_storage_last_read(structure, alias):
-    """Independent recomputation of each base slot's last read time.
-
-    Deliberately written as a per-slot scan (not the planner's single
-    forward walk) so a planner bug cannot hide in shared code.
-    """
-    steps = structure.steps
-    horizon = len(steps)
-
-    base = {}
-
-    def resolve(slot):
-        while slot in base:
-            slot = base[slot]
-        return slot
-
-    for i, step in enumerate(steps):
-        if alias[i] >= 0:
-            base[step.out] = resolve(steps[alias[i]].out)
-        elif step.op in passes.VIEW_OPS:
-            base[step.out] = resolve(step.ins[0])
-
-    last = {}
-    for b in range(structure.num_slots):
-        if resolve(b) != b:
-            continue
-        reads = [-1]
-        for i, step in enumerate(steps):
-            if any(resolve(j) == b for j in step.ins) or resolve(step.out) == b:
-                reads.append(i)
-            uses = engine.KERNELS[step.op].vjp_uses
-            if "inputs" in uses and any(resolve(j) == b for j in step.ins):
-                reads.append(horizon + 1)
-            if "output" in uses and resolve(step.out) == b:
-                reads.append(horizon + 1)
-        if resolve(structure.root_slot) == b:
-            reads.append(horizon)
-        last[b] = max(reads)
-    return resolve, last
-
-
-def test_liveness_never_overlaps_buffer_occupants():
-    def prop(structure):
-        metas = [None] * len(structure.steps)
-        alias = passes.eliminate_common_subexpressions(structure.steps, metas)
-        plan = passes.plan_memory(structure, metas, alias, engine.KERNELS,
-                                  np.dtype(np.float64))
-        resolve, naive_last = _naive_storage_last_read(structure, alias)
-        for i, step in enumerate(structure.steps):
-            buf = plan.step_buffer[i]
-            if alias[i] >= 0 or step.op in passes.VIEW_OPS:
-                assert buf == -1, f"aliased step {i} got a buffer"
-                continue
-            if buf >= 0:
-                assert plan.buffer_shapes[buf] == \
-                    structure.slot_shapes[step.out]
-        for buf, occupants in enumerate(plan.buffer_occupancy):
-            ordered = sorted(occupants, key=lambda o: o[1])
-            for (si, di, _ei), (sj, dj, _ej) in zip(ordered, ordered[1:]):
-                true_end = naive_last[resolve(structure.steps[si].out)]
-                assert true_end < dj, (
-                    f"buffer {buf}: step {si} storage live through "
-                    f"{true_end} but step {sj} overwrites it at {dj}"
-                )
-
-    forall(_RandomStructure, prop, trials=150,
-           name="arena liveness non-overlap")
-
-
-def test_view_lifetimes_extend_their_base_buffer():
-    """A reshape read late in the schedule must pin the base buffer."""
-    rng = np.random.default_rng(0)
-
-    def prop(seed):
-        case_rng = np.random.default_rng(seed)
-        structure = _RandomStructure(case_rng)
-        metas = [None] * len(structure.steps)
-        alias = passes.eliminate_common_subexpressions(structure.steps, metas)
-        plan = passes.plan_memory(structure, metas, alias, engine.KERNELS,
-                                  np.dtype(np.float64))
-        resolve, naive_last = _naive_storage_last_read(structure, alias)
-        # The planner's recorded end for every occupant covers the
-        # independently computed last read (views included).
-        for buf, occupants in enumerate(plan.buffer_occupancy):
-            for (si, _di, ei) in occupants:
-                base = resolve(structure.steps[si].out)
-                assert ei >= naive_last[base], (
-                    f"step {si}: planner end {ei} < true last read "
-                    f"{naive_last[base]}"
-                )
-
-    forall(lambda r: int(r.integers(0, 2**31)), prop, trials=100,
-           name="view lifetime union")
-    del rng
-
-
-# ----------------------------------------------------------------------
-# arena steady state: zero allocations per replay after materialisation
-# ----------------------------------------------------------------------
-def test_arena_allocates_once_then_never_again():
-    rng = np.random.default_rng(5)
-    xs = Tensor(rng.normal(size=(8, 6)))
-    w = Parameter(rng.normal(size=(6, 4)), name="w")
-    target = Tensor(rng.normal(size=(8, 4)))
+def test_warm_replays_hold_only_parameter_gradients():
+    """Trainers keep one plan per batch for their whole lifetime, so any
+    activation buffer a plan keeps between steps is multiplied by the
+    number of batches.  After warm replays, the bytes still allocated
+    since the loss was created must be the parameter gradients plus a
+    few KiB of plan bookkeeping — far below one activation (1 MiB)."""
+    rng = np.random.default_rng(21)
+    xs = Tensor(rng.normal(size=(4096, 8)))
+    target = Tensor(rng.normal(size=(4096, 32)))
+    w = Parameter(rng.normal(size=(8, 32)), name="w")
+    b = Parameter(rng.normal(size=32), name="b")
+    params = [w, b]
 
     def loss_fn():
-        diff = F.tanh(xs @ w) - target
-        return (diff * diff).mean()
+        # ``target`` enters as a leaf: ``- target`` would trace a
+        # derived constant the plan then (rightly) keeps as a leaf.
+        e = F.exp(F.tanh(xs @ w + b)) * target
+        return (e * e).mean()
 
-    compiled = engine.CompiledLoss(loss_fn)
-    w.zero_grad()
-    compiled.run()   # trace
-    w.zero_grad()
-    compiled.run()   # first replay materialises the arena
-    plan = compiled._plan
-    assert plan is not None
-    assert plan._arena is not None
-    assert len(plan._arena) == plan.memory_plan.num_buffers
-    before = engine.stats_snapshot()
-    buffer_ids = [id(buf) for buf in plan._arena]
-    for _ in range(5):
-        w.zero_grad()
-        compiled.run()
-    after = engine.stats_snapshot()
-    assert after["arena_buffers_allocated"] == \
-        before["arena_buffers_allocated"]
-    assert after["arena_bytes_allocated"] == before["arena_bytes_allocated"]
-    # Same physical buffers across replays, not equal-sized reallocations.
-    assert [id(buf) for buf in plan._arena] == buffer_ids
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        compiled = engine.CompiledLoss(loss_fn)
+        for _ in range(4):  # trace, then three replays
+            for p in params:
+                p.zero_grad()
+            compiled.run()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert compiled._plan is not None, compiled.fallback_reason
+    grad_bytes = sum(p.grad.nbytes for p in params)
+    slack = 64 * 1024
+    assert held <= grad_bytes + slack, (
+        f"plan holds {held} B between steps; parameter gradients are "
+        f"{grad_bytes} B"
+    )
 
 
 # ----------------------------------------------------------------------
