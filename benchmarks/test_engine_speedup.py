@@ -9,8 +9,9 @@ loss trajectory to <= 1e-12.
 
 A second scenario measures the ``float32`` serving backend: gateway
 request p95 latency vs the ``float64`` reference on the same request
-stream, gated on both the measured speedup and the backend's documented
-accuracy budget (``engine.FLOAT32_ACCURACY_BUDGET``).
+stream, gated on both the median speedup over ``F32_TRIALS`` paired
+runs and the backend's documented accuracy budget
+(``engine.FLOAT32_ACCURACY_BUDGET``).
 
 Results are appended to ``BENCH_engine.json`` next to this file
 (override with ``REPRO_BENCH_ENGINE_ARTIFACT``); the committed last
@@ -64,6 +65,11 @@ REGRESSION_TOLERANCE = 0.10
 #: Calibrated ~2.1x on the reference machine; the floor leaves ample
 #: headroom for noisy CI while still failing if float32 stops paying.
 MIN_F32_P95_SPEEDUP = 1.2
+#: Paired float64/float32 serving runs behind the gated speedup: a
+#: single run's p95 ratio spread 1.24-5.55x on a 2-core host, so the
+#: gate reads the median ratio over the pairs, whose order alternates
+#: (float64 first, then float32 first) to cancel host-speed drift.
+F32_TRIALS = 5
 
 
 def _append_artifact(record: dict) -> None:
@@ -222,23 +228,35 @@ def test_float32_serving_latency(engine_baseline):
     registry = ModelRegistry()
     registry.publish(factory(), trained_at_month=28)
 
-    p95_64, responses_64 = _serving_p95(factory, dataset, registry,
-                                        "float64")
-    p95_32, responses_32 = _serving_p95(factory, dataset, registry,
-                                        "float32")
-    p95_speedup = p95_64 / p95_32 if p95_32 > 0 else float("inf")
-    deviation = max(
-        float(np.max(np.abs(f32.forecast - f64.forecast)
-                     / (np.abs(f64.forecast) + 1.0)))
-        for f32, f64 in zip(responses_32, responses_64)
-    )
+    ratios, p95s_64, p95s_32, deviation = [], [], [], 0.0
+    for trial in range(F32_TRIALS):
+        order = ("float64", "float32") if trial % 2 == 0 else \
+            ("float32", "float64")
+        runs = {precision: _serving_p95(factory, dataset, registry, precision)
+                for precision in order}
+        (p95_64, responses_64), (p95_32, responses_32) = \
+            runs["float64"], runs["float32"]
+        p95s_64.append(p95_64)
+        p95s_32.append(p95_32)
+        ratios.append(p95_64 / p95_32 if p95_32 > 0 else float("inf"))
+        deviation = max(deviation, max(
+            float(np.max(np.abs(f32.forecast - f64.forecast)
+                         / (np.abs(f64.forecast) + 1.0)))
+            for f32, f64 in zip(responses_32, responses_64)
+        ))
+    p95_speedup = float(np.median(ratios))
+    q1, q3 = np.percentile(ratios, [25, 75])
+    p95_64, p95_32 = float(np.median(p95s_64)), float(np.median(p95s_32))
 
     block = {
         "shops": SERVE_SHOPS,
         "requests": 3 * dataset.graph.num_nodes,
+        "trials": len(ratios),
         "float64_p95_ms": p95_64 * 1000.0,
         "float32_p95_ms": p95_32 * 1000.0,
         "p95_speedup": p95_speedup,
+        "p95_speedup_trials": ratios,
+        "p95_speedup_iqr": float(q3 - q1),
         "max_forecast_deviation": deviation,
         "accuracy_budget": engine.FLOAT32_ACCURACY_BUDGET,
     }
@@ -248,9 +266,10 @@ def test_float32_serving_latency(engine_baseline):
         f"the documented {engine.FLOAT32_ACCURACY_BUDGET:.0e} budget"
     )
     assert p95_speedup >= MIN_F32_P95_SPEEDUP, (
-        f"float32 serving p95 speedup {p95_speedup:.2f}x below the "
-        f"{MIN_F32_P95_SPEEDUP}x floor "
-        f"(f64 {p95_64 * 1000:.1f} ms, f32 {p95_32 * 1000:.1f} ms)"
+        f"float32 serving median p95 speedup {p95_speedup:.2f}x below "
+        f"the {MIN_F32_P95_SPEEDUP}x floor (trials "
+        f"{[round(r, 2) for r in ratios]}; median f64 "
+        f"{p95_64 * 1000:.1f} ms, f32 {p95_32 * 1000:.1f} ms)"
     )
     if engine_baseline is not None and not os.environ.get(
         "REPRO_BENCH_UPDATE_BASELINE"

@@ -198,8 +198,9 @@ class _ZeroForecastModel(Module):
     """Traffic-plane stub: forecasts are irrelevant to admission gates,
     and a zero forward keeps thousands of simulated requests cheap."""
 
-    def forward(self, batch, graph):
-        return Tensor(np.zeros((batch.num_shops, batch.horizon)))
+    def forward(self, batch, graph, rows=None):
+        count = batch.num_shops if rows is None else len(rows)
+        return Tensor(np.zeros((count, batch.horizon)))
 
 
 def _simulate_admission(dataset, requests, service_s):

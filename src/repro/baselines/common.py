@@ -11,6 +11,7 @@ so that head capacity never confounds the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -123,8 +124,9 @@ class ForecastHead(Module):
         )
         self.b = Parameter(init.zeros((config.horizon,)), name="head.b")
 
-    def forward(self, h: Tensor) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, h: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
+        """Compute the layer output (of the ``rows`` rows only, when given)."""
+        h = h if rows is None else F.gather_rows(h, rows)
         pooled = self.conv(h).reshape(h.shape[0], -1)
         out = pooled @ self.w + self.b
         if self.final_activation == "relu":
@@ -140,9 +142,9 @@ class VectorHead(Module):
         self.final_activation = config.final_activation
         self.fc = Linear(config.channels, config.horizon, rng)
 
-    def forward(self, h: Tensor) -> Tensor:
-        """Compute the layer output (see class docstring)."""
-        out = self.fc(h)
+    def forward(self, h: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
+        """Compute the layer output (of the ``rows`` rows only, when given)."""
+        out = self.fc(h if rows is None else F.gather_rows(h, rows))
         if self.final_activation == "relu":
             out = F.relu(out)
         return out

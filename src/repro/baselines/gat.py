@@ -89,11 +89,13 @@ class GAT(Module):
         ]
         self.head = VectorHead(config, rng)
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         h = self.input(batch)
         for i, layer in enumerate(self.layers):
             h = layer(h, graph)
             if i + 1 < len(self.layers):
                 h = F.relu(h)
-        return self.head(h)
+        return self.head(h, rows)

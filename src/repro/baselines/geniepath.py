@@ -59,8 +59,10 @@ class GeniePath(Module):
         self.depth = [LSTMCell(c, c, rng) for _ in range(config.num_layers)]
         self.head = VectorHead(config, rng)
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         x = self.input(batch)
         num_nodes = x.shape[0]
         h = x
@@ -70,4 +72,4 @@ class GeniePath(Module):
             hidden, cell = depth(tmp, state)
             state = (hidden, cell)
             h = hidden
-        return self.head(h)
+        return self.head(h, rows)

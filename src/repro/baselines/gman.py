@@ -145,11 +145,13 @@ class GMAN(Module):
         node = self.node_embedding.reshape(num_nodes, 1, c)
         return time_encoding + node
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         if graph.num_nodes > self._max_nodes:
             raise ValueError("GMAN's dense spatial attention exceeds max_nodes")
         h = self.input(batch) + self._ste(batch, graph.num_nodes)
         for block in self.blocks:
             h = block(h)
-        return self.head(h)
+        return self.head(h, rows)

@@ -117,9 +117,11 @@ class LogTrans(Module):
         ]
         self.head = ForecastHead(config, rng)
 
-    def forward(self, batch: InstanceBatch, graph: Optional[ESellerGraph] = None) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: Optional[ESellerGraph] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         h = self.input(batch)
         for block in self.blocks:
             h = block(h)
-        return self.head(h)
+        return self.head(h, rows)

@@ -176,10 +176,12 @@ class MTGNN(Module):
             )
         return self.graph_learner
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         adj = self._learner(graph.num_nodes)()
         h = self.input(batch)
         for block in self.blocks:
             h = block(h, adj)
-        return self.head(h)
+        return self.head(h, rows)

@@ -99,10 +99,12 @@ class STGCN(Module):
             self._adj_graph_id = id(graph)
         return self._adj_cache
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Forecasts ``(S, T')``; only the ``rows`` rows when given (the
+        head runs on them, everything before it on the whole graph)."""
         adj = self._adjacency(graph)
         h = self.input(batch)
         for block in self.blocks:
             h = block(h, adj)
-        return self.head(h)
+        return self.head(h, rows)

@@ -20,7 +20,7 @@ per edge; attention itself is batched over edges with 3-D matmuls.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -55,8 +55,13 @@ class ConvolutionalAttentionUnit(Module):
             self._mask_cache[t] = F.causal_mask(t)
         return self._mask_cache[t]
 
-    def project(self, h: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+    def project(self, h: Tensor, num_queries: Optional[int] = None
+                ) -> Tuple[Tensor, Tensor, Tensor]:
         """Per-node Q/K/V projections of ``(S, T, C)`` representations.
+
+        Q is projected for the ``num_queries`` leading rows only (all
+        rows by default): a pruned layer queries from its output rows
+        and reads keys/values from all of its input rows.
 
         Kept as three separate convolutions on purpose: fusing them into
         one ``conv_bank`` block was measured slower here — the wide
@@ -64,7 +69,8 @@ class ConvolutionalAttentionUnit(Module):
         channels, and the sliced outputs turn every downstream attention
         kernel non-contiguous.
         """
-        return self.conv_q(h), self.conv_k(h), self.conv_v(h)
+        queries = h if num_queries is None else F.leading_rows(h, num_queries)
+        return self.conv_q(queries), self.conv_k(h), self.conv_v(h)
 
     def attend(self, q_dst: Tensor, k_src: Tensor, v_src: Tensor) -> Tensor:
         """Batched attention over edges.

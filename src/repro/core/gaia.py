@@ -19,6 +19,7 @@ import numpy as np
 
 from ..data.dataset import InstanceBatch
 from ..graph.graph import ESellerGraph
+from ..graph.sampling import receptive_field
 from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import Conv1d
@@ -56,22 +57,48 @@ class Gaia(Module):
         self.b_p = Parameter(init.zeros((config.horizon,)), name="gaia.b_p")
 
     # ------------------------------------------------------------------
-    def embed(self, batch: InstanceBatch) -> Tensor:
-        """FFL + TEL: per-node temporal embedding ``E_v`` of shape (S, T, C)."""
-        series = Tensor(batch.series_scaled)
-        temporal = Tensor(batch.temporal)
-        static = Tensor(batch.static)
-        fused = self.ffl(series, temporal, static)
+    def embed(self, batch: InstanceBatch,
+              nodes: Optional[np.ndarray] = None) -> Tensor:
+        """FFL + TEL: per-node temporal embedding ``E_v`` of shape (S, T, C)
+        (of the ``nodes`` rows only, in that order, when given)."""
+        series, temporal, static = (
+            batch.series_scaled, batch.temporal, batch.static)
+        if nodes is not None:
+            series, temporal, static = (
+                series[nodes], temporal[nodes], static[nodes])
+        fused = self.ffl(Tensor(series), Tensor(temporal), Tensor(static))
         return self.tel(fused)
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Predict scaled GMV for the horizon months, shape ``(S, T')``."""
-        embedding = self.embed(batch)
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                rows: Optional[np.ndarray] = None) -> Tensor:
+        """Predict scaled GMV for the horizon months, shape ``(S, T')``.
+
+        ``rows`` names the only output rows the caller reads; the result
+        is then ``(len(rows), T')``, row ``i`` the forecast of node
+        ``rows[i]`` (rows may repeat and come in any order).  Only their
+        receptive field is computed (:func:`receptive_field`): FFL and
+        TEL on ``N_0``, layer ``l`` from ``N_{l-1}`` to ``N_l``, the head
+        on ``rows``.  It equals the full forward's rows to within
+        1e-12 relative.  ``rows=None``, or every node in order, runs the
+        full graph.
+        """
+        if rows is not None and len(rows) == graph.num_nodes and \
+                np.array_equal(rows, np.arange(graph.num_nodes)):
+            rows = None         # every node in order: nothing to prune
+        if rows is None:
+            field, nodes, blocks = None, None, [None] * len(self.layers)
+        else:
+            field = receptive_field(graph, rows, len(self.layers))
+            nodes, blocks = field.nodes, field.blocks
+        embedding = self.embed(batch, nodes)
         h = embedding
-        for layer in self.layers:
-            h = layer(h, graph)
-        pooled = self.conv_p(h + embedding)               # (S, T, 1)
-        pooled = pooled.reshape(batch.num_shops, -1)      # (S, T)
+        for layer, block in zip(self.layers, blocks):
+            h = layer(h, graph, block)
+        residual = h + F.leading_rows(embedding, h.shape[0])
+        if field is not None and field.row_index is not None:
+            residual = F.gather_rows(residual, field.row_index)
+        pooled = self.conv_p(residual)                    # (S, T, 1)
+        pooled = pooled.reshape(residual.shape[0], -1)    # (S, T)
         out = pooled @ self.w_p + self.b_p                # (S, T')
         if self.config.final_activation == "relu":
             out = F.relu(out)                             # literal Eq. 9

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.graph import ESellerGraph
+from ..graph.sampling import LayerBlock
 from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import Conv1d
@@ -53,26 +54,34 @@ class ITAGCNLayer(Module):
         #: Per-node intra CAU attention maps, shape ``(S, T, T)``.
         self.last_intra_attention: Optional[np.ndarray] = None
 
-    def forward(self, h: Tensor, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
-        num_nodes = h.shape[0]
-        if num_nodes != graph.num_nodes:
-            raise ValueError(
-                f"representation rows ({num_nodes}) != graph nodes ({graph.num_nodes})"
-            )
-        q, k, v = self.cau.project(h)
+    def forward(self, h: Tensor, graph: ESellerGraph,
+                block: Optional[LayerBlock] = None) -> Tensor:
+        """Compute the layer output (see class docstring).
 
-        # Intra self attention: CAU(H_u, H_u) for every node.
-        intra = self.cau.attend(q, k, v)
+        With a ``block`` (one layer of a
+        :func:`~repro.graph.sampling.receptive_field`), ``h`` holds the
+        block's input rows and the output its ``num_out`` leading rows:
+        K/V and the gate terms run on every input row; Q, intra and
+        inter attention, the neighbor softmax and the sum run only for
+        the output rows and the edges into them.  The attention maps
+        then cover the block: ``last_intra_attention`` one map per
+        output row, ``last_alpha`` / ``last_inter_attention`` one entry
+        per ``block.edges`` edge.
+        """
+        block = block or LayerBlock.whole(graph)
+        block.check_input(h.shape[0])
+        num_out, src, dst = block.num_out, block.src, block.dst
+        q, k, v = self.cau.project(h, num_out)
+
+        # Intra self attention: CAU(H_u, H_u) for every output node.
+        intra = self.cau.attend(q, F.leading_rows(k, num_out),
+                                F.leading_rows(v, num_out))
         self.last_intra_attention = self.cau.last_attention
 
-        if graph.num_edges == 0:
+        if src.size == 0:
             self.last_alpha = np.zeros(0)
             self.last_inter_attention = None
             return intra
-
-        src = graph.src
-        dst = graph.dst
 
         # Inter neighbor attention: CAU(H_u, H_v) batched over edges.
         messages = self.cau.attend(
@@ -89,9 +98,9 @@ class ITAGCNLayer(Module):
         d_term = gate_terms[:, :, 1:2]
         combined = F.gather_rows(s_term, dst) + F.gather_rows(d_term, src)
         gate = F.tanh(combined).reshape(src.size, -1) @ self.mu   # (E,)
-        alpha = F.segment_softmax(gate, dst, num_nodes)
+        alpha = F.segment_softmax(gate, dst, num_out)
         self.last_alpha = alpha.data.copy()
 
         weighted = messages * alpha.reshape(src.size, 1, 1)
-        inter = F.segment_sum(weighted, dst, num_nodes)           # (S, T, C)
+        inter = F.segment_sum(weighted, dst, num_out)             # (S, T, C)
         return inter + intra

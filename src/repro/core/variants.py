@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..graph.graph import ESellerGraph
+from ..graph.sampling import LayerBlock
 from ..nn import functional as F
 from ..nn import init
 from ..nn.layers import Conv1d, Linear
@@ -52,24 +53,28 @@ class _TraditionalAttentionLayer(Module):
             self._mask_cache[t] = F.causal_mask(t)
         return self._mask_cache[t]
 
-    def forward(self, h: Tensor, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
-        num_nodes = h.shape[0]
-        q = self.proj_q(h)
+    def forward(self, h: Tensor, graph: ESellerGraph,
+                block: Optional[LayerBlock] = None) -> Tensor:
+        """Compute the layer output; a ``block`` prunes it exactly as in
+        :meth:`~repro.core.ita_gcn.ITAGCNLayer.forward`."""
+        block = block or LayerBlock.whole(graph)
+        block.check_input(h.shape[0])
+        num_out, src, dst = block.num_out, block.src, block.dst
+        q = self.proj_q(F.leading_rows(h, num_out))
         k = self.proj_k(h)
         v = self.proj_v(h)
+        k_out, v_out = F.leading_rows(k, num_out), F.leading_rows(v, num_out)
         # Intra: standard (non-convolutional) causal self-attention.
-        scores = (q @ k.transpose()) * (1.0 / np.sqrt(self.channels))
-        intra = F.masked_softmax(scores, self._mask(h.shape[1])) @ v
-        if graph.num_edges == 0:
+        scores = (q @ k_out.transpose()) * (1.0 / np.sqrt(self.channels))
+        intra = F.masked_softmax(scores, self._mask(h.shape[1])) @ v_out
+        if src.size == 0:
             return intra
-        src, dst = graph.src, graph.dst
         # Inter: neighbors' values mixed by alpha, no temporal matching.
         gate_terms = F.gather_rows(self.attn_s(h), dst) + F.gather_rows(self.attn_d(h), src)
         gate = F.tanh(gate_terms).reshape(src.size, -1) @ self.mu
-        alpha = F.segment_softmax(gate, dst, num_nodes)
+        alpha = F.segment_softmax(gate, dst, num_out)
         weighted = F.gather_rows(v, src) * alpha.reshape(src.size, 1, 1)
-        inter = F.segment_sum(weighted, dst, num_nodes)
+        inter = F.segment_sum(weighted, dst, num_out)
         return inter + intra
 
 

@@ -107,9 +107,12 @@ class InstanceBatch:
         """Forecast horizon ``T'``."""
         return self.labels.shape[1]
 
-    def inverse_scale(self, scaled: np.ndarray) -> np.ndarray:
-        """Map model outputs back to raw GMV units for this batch."""
-        return self.scaler.inverse_transform(scaled, self.levels)
+    def inverse_scale(self, scaled: np.ndarray,
+                      rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map model outputs back to raw GMV units for this batch (for
+        the ``rows`` shops only, one output row each, when given)."""
+        levels = self.levels if rows is None else self.levels[rows]
+        return self.scaler.inverse_transform(scaled, levels)
 
     def subset(self, indices: np.ndarray) -> "InstanceBatch":
         """Row-sliced copy for a node subset (ego-subgraph serving).

@@ -116,12 +116,12 @@ class OnlineModelServer:
         sub_batch = batch.subset(originals)
         self.model.eval()
         with no_grad():
-            scaled = self.model(sub_batch, subgraph)
-        raw = sub_batch.inverse_scale(scaled.data)
+            scaled = self.model(sub_batch, subgraph, rows=[center_local])
+        raw = sub_batch.inverse_scale(scaled.data, [center_local])
         latency = obs_clock.now() - started
         return self._log(PredictionResponse(
             shop_index=shop_index,
-            forecast=raw[center_local],
+            forecast=raw[0],
             subgraph_nodes=subgraph.num_nodes,
             latency_seconds=latency,
         ))

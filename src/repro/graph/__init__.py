@@ -5,9 +5,12 @@ from .generators import SellerGraphSpec, generate_seller_graph
 from .graph import EdgeType, ESellerGraph
 from .sampling import (
     EgoSubgraph,
+    LayerBlock,
+    ReceptiveField,
     ego_subgraph,
     ego_subgraphs,
     k_hop_nodes,
+    receptive_field,
     sample_neighbors,
 )
 
@@ -21,6 +24,9 @@ __all__ = [
     "ego_subgraphs",
     "k_hop_nodes",
     "sample_neighbors",
+    "LayerBlock",
+    "ReceptiveField",
+    "receptive_field",
     "connected_components",
     "bfs_distances",
     "degree_statistics",

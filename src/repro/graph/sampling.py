@@ -7,9 +7,12 @@ vectorised pass, over a static graph (:func:`ego_subgraphs`,
 :func:`ego_subgraph`) or a live one (base + tombstones + overlay, used
 by :class:`~repro.streaming.dynamic_graph.DynamicGraph`).
 :func:`sample_neighbors` provides GraphSAGE-style fanout capping for
-minibatch training on larger graphs.
+minibatch training on larger graphs.  :func:`receptive_field` finds,
+for a set of output rows, the rows each message-passing layer must
+compute (GraphSAGE's layer-wise minibatch sets), so a forward that reads
+a few rows computes only their receptive field.
 
-All frontier expansions run on the graph's incidence index
+The ego extractor's frontier expansions run on the graph's incidence index
 (:meth:`~repro.graph.graph.ESellerGraph.incidence`), so each BFS hop touches
 only the edges incident to the current frontier instead of rescanning
 the full edge list, and no step allocates per-node state for the whole
@@ -32,6 +35,9 @@ __all__ = [
     "ego_subgraphs",
     "EgoSubgraph",
     "sample_neighbors",
+    "LayerBlock",
+    "ReceptiveField",
+    "receptive_field",
 ]
 
 
@@ -358,3 +364,108 @@ def sample_neighbors(
     rank = np.arange(edges.size, dtype=np.int64) - seg_offsets[segments]
     keep = edges[perm][rank < fanout]
     return graph.src[keep], graph.dst[keep], graph.edge_types[keep]
+
+
+@dataclass(frozen=True)
+class LayerBlock:
+    """One message-passing layer's share of a :class:`ReceptiveField`.
+
+    The layer reads ``num_in`` input rows and writes the first
+    ``num_out`` of them (``num_out <= num_in``; rows are in the field's
+    layout order, where every layer's output rows lead its input rows).
+    ``edges`` are the original ids, ascending, of the edges into the
+    output rows (``None`` for a :meth:`whole` block: every edge, in
+    order); ``src`` (``< num_in``) and ``dst`` (``< num_out``) are
+    their endpoints as row positions.
+    """
+
+    num_in: int
+    num_out: int
+    edges: Optional[np.ndarray]
+    src: np.ndarray
+    dst: np.ndarray
+
+    @classmethod
+    def whole(cls, graph: ESellerGraph) -> "LayerBlock":
+        """The unpruned layer: every node in and out, every edge."""
+        return cls(graph.num_nodes, graph.num_nodes, None, graph.src,
+                   graph.dst)
+
+    def check_input(self, rows: int) -> None:
+        """Raise unless a layer input has this block's ``num_in`` rows."""
+        if rows != self.num_in:
+            raise ValueError(
+                f"representation rows ({rows}) != layer input rows "
+                f"({self.num_in})"
+            )
+
+
+@dataclass(frozen=True)
+class ReceptiveField:
+    """The rows an ``L``-layer forward needs for a set of output rows.
+
+    ``nodes`` lists the input rows ``N_0`` (original node ids) in layout
+    order: the requested rows first (duplicates dropped, first
+    occurrence kept), then each hop's newly reached in-neighbors in
+    ascending id order.  Every needed set ``N_l`` is a prefix of
+    ``nodes``, and ``blocks[l]`` maps layer ``l``'s input prefix to its
+    output prefix.  ``row_index`` places each requested row in the
+    final prefix, or is ``None`` when the rows were distinct (the
+    prefix is then the rows, in the order given).
+    """
+
+    nodes: np.ndarray
+    blocks: List[LayerBlock]
+    row_index: Optional[np.ndarray]
+
+
+def receptive_field(graph: ESellerGraph, rows: Sequence[int],
+                    num_layers: int) -> ReceptiveField:
+    """Needed sets ``N_0 ⊇ N_1 ⊇ … ⊇ N_L = rows`` of an ``L``-layer forward.
+
+    A layer's output at node ``u`` reads its input at ``u`` and at every
+    in-neighbor of ``u``, so ``N_{l-1} = N_l ∪ in(N_l)``.  Each layer
+    costs one vectorised pass over the edge list (keep the edges whose
+    destination is needed, mark their sources), which is never more
+    than the full-graph layer it prunes does.  Kept edges stay in edge
+    order: a layer's per-node softmax and sum then see each node's
+    in-edges in the order a full-graph forward does.
+    """
+    if num_layers < 0:
+        raise ValueError(f"num_layers must be non-negative, got {num_layers}")
+    rows = np.asarray(rows)
+    if rows.dtype == bool:
+        raise TypeError("rows must be node indices, not a boolean mask")
+    rows = rows.astype(np.int64).reshape(-1)
+    if rows.size == 0:
+        raise ValueError("rows must name at least one node")
+    _check_seeds(rows, graph.num_nodes, "rows")
+    needed = np.zeros(graph.num_nodes, dtype=bool)
+    needed[rows] = True
+    count = int(np.count_nonzero(needed))
+    distinct = count == rows.size
+    if distinct:
+        nodes = rows
+    else:
+        nodes = rows[np.sort(np.unique(rows, return_index=True)[1])]
+    position = np.empty(graph.num_nodes, dtype=np.int64)
+    position[nodes] = np.arange(count)
+    parts, sizes, edge_sets = [nodes], [count], []
+    for _ in range(num_layers):
+        edges = np.flatnonzero(needed[graph.dst])
+        edge_sets.append(edges)
+        reached = needed.copy()
+        reached[graph.src[edges]] = True
+        fresh = np.flatnonzero(reached & ~needed)
+        position[fresh] = np.arange(sizes[-1], sizes[-1] + fresh.size)
+        parts.append(fresh)
+        sizes.append(sizes[-1] + fresh.size)
+        needed = reached
+    blocks = [
+        LayerBlock(num_in=sizes[hop + 1], num_out=sizes[hop], edges=kept,
+                   src=position[graph.src[kept]],
+                   dst=position[graph.dst[kept]])
+        for hop, kept in reversed(list(enumerate(edge_sets)))
+    ]
+    return ReceptiveField(nodes=_concat(parts), blocks=blocks,
+                          row_index=None if distinct else position[rows])

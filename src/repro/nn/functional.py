@@ -42,6 +42,7 @@ __all__ = [
     "conv1d",
     "conv_bank",
     "gather_rows",
+    "leading_rows",
     "segment_sum",
     "segment_softmax",
     "dropout",
@@ -278,6 +279,12 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     return _apply_op("gather_rows", (a,),
                      {"index": index, "in_shape": a.data.shape})
+
+
+def leading_rows(a: Tensor, count: int) -> Tensor:
+    """The first ``count`` rows along axis 0; ``a`` itself when it has
+    exactly that many, so a full-size selection records no op."""
+    return a if a.shape[0] == count else a[:count]
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

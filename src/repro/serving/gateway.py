@@ -933,15 +933,18 @@ class ServingGateway:
             # Inference mode = no autograd metadata + the engine's
             # optimized kernel set (GEMM convolutions, reduceat
             # scatter-adds, in-place masked softmax) for the stitched
-            # block-diagonal forward.  The configured backend pins the
+            # block-diagonal forward, which computes only the centers'
+            # receptive fields.  The configured backend pins the
             # replica's dtype policy (float32 serving); forecasts cross
             # back to float64 at the gateway boundary below.
             with obs_tracing.span("gateway.forward"):
                 with engine.use_backend(self.config.precision):
                     with engine.inference_mode():
-                        scaled = replica.model(union.batch, union.graph)
+                        scaled = replica.model(union.batch, union.graph,
+                                               rows=union.center_rows)
             raw = np.asarray(
-                union.batch.inverse_scale(scaled.data), dtype=np.float64)
+                union.batch.inverse_scale(scaled.data, union.center_rows),
+                dtype=np.float64)
         finally:
             replica.inflight -= num_requests
         served = sum(len(by_shop[s]) for s in shops)
@@ -952,8 +955,8 @@ class ServingGateway:
         store = self._data_store
         data_month = int(store.frontier) if store is not None else -1
         tick_seq = int(store.ticks_applied) if store is not None else -1
-        for row, shop in zip(union.center_rows, shops):
-            forecast = raw[int(row)].copy()
+        for row, shop in zip(raw, shops):
+            forecast = row.copy()
             forecast.setflags(write=False)
             nodes = int(egos[shop].num_nodes)
             self.result_cache.put(shop, self.config.hops, replica.version,

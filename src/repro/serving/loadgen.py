@@ -292,10 +292,10 @@ class ServiceTimeModel:
         self.per_forward_s = float(per_forward_s)
         self.per_row_s = float(per_row_s)
 
-    def __call__(self, batch, graph):
-        rows = getattr(batch, "num_shops", 0)
-        self._sim_clock.advance(self.per_forward_s + self.per_row_s * rows)
-        return self.inner(batch, graph)
+    def __call__(self, batch, graph, rows=None):
+        num_rows = getattr(batch, "num_shops", 0)
+        self._sim_clock.advance(self.per_forward_s + self.per_row_s * num_rows)
+        return self.inner(batch, graph, rows=rows)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

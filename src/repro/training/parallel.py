@@ -51,7 +51,7 @@ from ..obs import clock as obs_clock
 from ..obs import tracing as obs_tracing
 from ..partition import GraphPartition, Partition, partition_graph
 from .metrics import MetricTable
-from .trainer import TrainConfig, Trainer, TrainHistory
+from .trainer import TrainConfig, Trainer, TrainHistory, rows_mse
 
 __all__ = ["ShardView", "ShardedDataset", "ParallelTrainer"]
 
@@ -234,16 +234,18 @@ class _ShardWorker:
         return loss_value, count, grads, obs_clock.now() - started
 
     def val_loss(self, state: Dict[str, np.ndarray]) -> Tuple[float, int]:
-        """Shard validation loss at ``state`` (0-weight when inactive)."""
+        """Shard validation loss at ``state`` (0-weight when inactive),
+        forwarding only the shard's active val rows."""
         self.model.load_state_dict(state)
-        self.model.eval()
         dataset = self.shard.dataset
-        with no_grad():
-            loss, count = _shard_loss(self.model, dataset, dataset.val, "val")
-        self.model.train()
-        if loss is None:
+        rows = np.flatnonzero(_active_rows(dataset, dataset.val, "val"))
+        if rows.size == 0:
             return 0.0, 0
-        return loss.item(), count
+        self.model.eval()
+        with no_grad():
+            loss = rows_mse(self.model, dataset.val, dataset.graph, rows)
+        self.model.train()
+        return loss.item(), int(rows.size)
 
 
 def _worker_loop(conn, model: Module, shard: ShardView,

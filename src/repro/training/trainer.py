@@ -1,7 +1,8 @@
 """Training loop for graph forecasting models.
 
-The trainer is model-agnostic: anything with ``forward(batch, graph) ->
-Tensor (S, H)`` in scaled space and ``parameters()`` can be trained.
+The trainer is model-agnostic: anything with ``forward(batch, graph,
+rows=None) -> Tensor (S, H)`` in scaled space (``(len(rows), H)`` for
+the ``rows`` shops when given) and ``parameters()`` can be trained.
 Loss is MSE over shops that have at least one observed history month
 (Eq. 10, restricted to shops that exist at the cutoff); early stopping
 monitors validation loss; metrics are computed in raw units through the
@@ -16,6 +17,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..data.dataset import ForecastDataset, InstanceBatch
+from ..graph.graph import ESellerGraph
 from ..nn import engine
 from ..nn import functional as F
 from ..nn.module import Module
@@ -25,7 +27,7 @@ from ..obs import clock as obs_clock
 from ..obs import tracing as obs_tracing
 from .metrics import MetricTable, evaluate_forecast
 
-__all__ = ["TrainConfig", "TrainHistory", "Trainer"]
+__all__ = ["TrainConfig", "TrainHistory", "Trainer", "rows_mse"]
 
 
 @dataclass
@@ -73,6 +75,14 @@ def _active_shops(batch: InstanceBatch) -> np.ndarray:
     return batch.mask.any(axis=1)
 
 
+def rows_mse(model: Module, batch: InstanceBatch, graph: ESellerGraph,
+             rows: np.ndarray) -> Tensor:
+    """MSE of ``model``'s scaled forecasts for ``rows`` against their
+    labels, forwarding only those rows."""
+    diff = model(batch, graph, rows=rows) - Tensor(batch.labels_scaled[rows])
+    return (diff * diff).mean()
+
+
 class Trainer:
     """Full-batch trainer with early stopping and best-weight restore."""
 
@@ -101,9 +111,19 @@ class Trainer:
         return (diff * diff).mean()
 
     def _val_loss(self) -> float:
+        """``_loss`` of the val batch, forwarding only the rows it reads
+        (equal to the full-graph loss within 1e-12).
+
+        Train steps keep the full forward: its compiled plan is
+        batch-static, and a pruned one is a different plan.
+        """
+        batch = self.dataset.val
+        rows = np.flatnonzero(_active_shops(batch) & self.dataset.node_mask("val"))
+        if rows.size == 0:
+            raise RuntimeError("batch has no active shops for role 'val'")
         self.model.eval()
         with no_grad():
-            loss = self._loss(self.dataset.val, "val")
+            loss = rows_mse(self.model, batch, self.dataset.graph, rows)
         self.model.train()
         return loss.item()
 
@@ -169,12 +189,14 @@ class Trainer:
         return self.history
 
     # ------------------------------------------------------------------
-    def predict_raw(self, batch: InstanceBatch) -> np.ndarray:
-        """Forecast in raw GMV units for every shop in the batch."""
+    def predict_raw(self, batch: InstanceBatch,
+                    rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Forecast in raw GMV units for every shop in the batch (for the
+        ``rows`` shops only, forwarding just those rows, when given)."""
         self.model.eval()
         with no_grad():
-            pred_scaled = self.model(batch, self.dataset.graph)
-        return batch.inverse_scale(pred_scaled.data)
+            pred_scaled = self.model(batch, self.dataset.graph, rows=rows)
+        return batch.inverse_scale(pred_scaled.data, rows)
 
     def evaluate(self, batch: Optional[InstanceBatch] = None,
                  shop_mask: Optional[np.ndarray] = None,
@@ -187,8 +209,10 @@ class Trainer:
         """
         if batch is None:
             batch = self.dataset.test if role == "test" else self.dataset.val
-        pred = self.predict_raw(batch)
         active = _active_shops(batch) & self.dataset.node_mask(role)
         if shop_mask is not None:
             active = active & np.asarray(shop_mask, dtype=bool)
-        return evaluate_forecast(pred, batch.labels, batch.horizon_names, shop_mask=active)
+        rows = np.flatnonzero(active)
+        pred = (self.predict_raw(batch, rows) if rows.size
+                else np.zeros((0, batch.horizon)))
+        return evaluate_forecast(pred, batch.labels[rows], batch.horizon_names)

@@ -69,8 +69,9 @@ class _StubModel(Module):
     """Zero-forecast model: the traffic plane under test never needs
     real numerics, and a trivial forward keeps scenario replays fast."""
 
-    def forward(self, batch, graph):
-        return Tensor(np.zeros((batch.num_shops, batch.horizon)))
+    def forward(self, batch, graph, rows=None):
+        count = batch.num_shops if rows is None else len(rows)
+        return Tensor(np.zeros((count, batch.horizon)))
 
 
 def make_gateway(dataset, clock, **kwargs):

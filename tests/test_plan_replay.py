@@ -135,7 +135,7 @@ def _builders():
 
 @pytest.mark.parametrize("family,make", _builders(), ids=lambda v: v
                          if isinstance(v, str) else "")
-def test_cse_arena_replay_bitwise_equals_eager(family, make):
+def test_planned_replay_bitwise_equals_eager(family, make):
     loss_fn, params = make()
 
     # Eager reference bits (fused kernels, no plan).
